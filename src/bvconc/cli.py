@@ -181,7 +181,7 @@ def _ingest_clustered(path: str) -> tuple[ClusteredSample, tuple[str, ...]]:
         notes = (
             f"{path}: no cluster column; treating each observation as its own cluster (iid)",
         )
-    return ClusteredSample(values=tuple(values), cluster_ids=tuple(clusters)), notes
+    return ClusteredSample(values=values, cluster_ids=clusters), notes
 
 
 def ingest_clustered_csv(path: str) -> ClusteredSample:

@@ -21,14 +21,17 @@ For trajectories only observed on a time grid the sup cannot be attained, so
 maximum is a lower bound, and adding half the worst gap times the Lipschitz
 constant of the difference (2K) gives an upper bound.
 
-Everything here is pure and safe to call concurrently.
+A ``ClusteredSample`` builds its cluster spec and ECDF once, at construction,
+and stores them beside read-only arrays, so every test on the sample reuses
+them and instances stay immutable and safe to share.  Everything here is
+pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -48,49 +51,65 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteredSample:
-    """Real-valued observations tagged with the cluster they belong to."""
+    """Real-valued observations tagged with the cluster they belong to.
 
-    values: tuple[float, ...]
-    cluster_ids: tuple[Hashable, ...]
+    ``values`` is stored as a read-only float64 array.  ``cluster_ids`` is
+    stored as read-only integer codes numbering the distinct labels in order
+    of first appearance; labels that hash and compare equal (``1``, ``1.0``
+    and ``True``) are one cluster.  The cluster spec and the ECDF are built
+    here, once.
+    """
+
+    values: np.ndarray
+    cluster_ids: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.values:
+        values = np.array(self.values, dtype=np.float64)
+        labels = self.cluster_ids
+        if values.ndim != 1:
+            raise DomainError(f"values must be a 1-d sequence, got shape {values.shape}")
+        if not values.size:
             raise DomainError("sample must be nonempty")
-        if len(self.values) != len(self.cluster_ids):
-            raise DomainError(
-                f"{len(self.values)} values but {len(self.cluster_ids)} cluster labels"
-            )
-        for v in self.values:
-            if not math.isfinite(v):
-                raise DomainError(f"observation values must be finite, got {v}")
+        if values.size != len(labels):
+            raise DomainError(f"{values.size} values but {len(labels)} cluster labels")
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[np.argmin(finite)])
+            raise DomainError(f"observation values must be finite, got {bad}")
+        # first-appearance order keeps the size list deterministic under relabeling
+        index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+        codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=values.size)
+        uniq, counts = np.unique(values, return_counts=True)
+        for array in (values, codes, uniq):
+            array.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "cluster_ids", codes)
+        object.__setattr__(self, "_spec", ClusterSpec(np.bincount(codes).tolist()))
+        cdf = StepCdf(jump_points=uniq, values=np.cumsum(counts) / values.size)
+        object.__setattr__(self, "_ecdf", cdf)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, Hashable]]) -> "ClusteredSample":
         pairs = list(pairs)
         return cls(
-            values=tuple(float(v) for v, _ in pairs),
-            cluster_ids=tuple(c for _, c in pairs),
+            values=np.fromiter(map(itemgetter(0), pairs), dtype=np.float64, count=len(pairs)),
+            cluster_ids=list(map(itemgetter(1), pairs)),
         )
 
     @classmethod
     def iid(cls, values: Iterable[float]) -> "ClusteredSample":
         """Each observation its own cluster (effective sample size = n)."""
-        values = tuple(float(v) for v in values)
-        return cls(values=values, cluster_ids=tuple(range(len(values))))
+        values = np.fromiter(values, dtype=np.float64)
+        return cls(values=values, cluster_ids=range(values.size))
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     def cluster_spec(self) -> ClusterSpec:
-        counts = Counter(self.cluster_ids)
-        # first-appearance order keeps the size list deterministic under relabeling
-        seen: dict[Hashable, int] = {}
-        for cid in self.cluster_ids:
-            seen.setdefault(cid, counts[cid])
-        return ClusterSpec(tuple(seen.values()))
+        return self._spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +117,7 @@ class StepCdf:
     """Right-continuous step function: value ``values[i]`` at and after ``jump_points[i]``.
 
     The value before the first jump is 0 and the last value must be 1.
+    ``values`` is stored read-only.
     """
 
     jump_points: np.ndarray
@@ -118,7 +138,11 @@ class StepCdf:
             raise DomainError("step values must be nondecreasing")
         if vals[0] < 0 or abs(vals[-1] - 1.0) > 1e-12:
             raise DomainError("step values must rise from >= 0 to exactly 1")
-        object.__setattr__(self, "_padded", np.concatenate(([0.0], vals)))
+        # the heights are stored once, as a read-only view behind the leading 0
+        padded = np.concatenate(([0.0], vals))
+        padded.setflags(write=False)
+        object.__setattr__(self, "_padded", padded)
+        object.__setattr__(self, "values", padded[1:])
 
     def __call__(self, r):
         return self.evaluate(r)
@@ -135,10 +159,11 @@ class StepCdf:
 
 
 def ecdf(sample: ClusteredSample) -> StepCdf:
-    """Empirical CDF of the pooled observations: jump (tie count)/n at each unique value."""
-    vals = np.asarray(sample.values, dtype=float)
-    uniq, counts = np.unique(vals, return_counts=True)
-    return StepCdf(jump_points=uniq, values=np.cumsum(counts) / vals.size)
+    """Empirical CDF of the pooled observations: jump (tie count)/n at each unique value.
+
+    The sample builds it once, at construction; every call returns that object.
+    """
+    return sample._ecdf
 
 
 def _pick_side(side: TailSide, plus: float, minus: float) -> float:
@@ -170,7 +195,7 @@ def _reference_values(ref_cdf: Callable, pts: np.ndarray) -> np.ndarray:
             return out
     except (TypeError, ValueError):
         pass
-    return np.asarray([float(ref_cdf(float(p))) for p in pts], dtype=float)
+    return np.fromiter(map(ref_cdf, pts.tolist()), dtype=float, count=pts.size)
 
 
 def sup_distance_reference(

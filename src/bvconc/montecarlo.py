@@ -21,9 +21,9 @@ Three experiments:
 
 Reproducibility contract: every trial draws from a counter-based Philox
 stream keyed by (seed, experiment stream, trial index).  Results are
-bitwise-identical for identical (config, seed) regardless of execution
-order or worker count, and binomial draws are inverted from the exact
-binomial CDF (never sampled by rejection or normal approximation).
+bitwise-identical for identical (config, seed), and binomial draws are
+inverted from the exact binomial CDF (never sampled by rejection or normal
+approximation).
 """
 
 from __future__ import annotations

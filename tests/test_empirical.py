@@ -48,6 +48,45 @@ class TestClusteredSample:
             ClusteredSample.iid([1.0, math.inf])
 
 
+class TestArrayNativeSample:
+    @pytest.mark.parametrize(
+        "labels, sizes, codes",
+        [
+            (["b", "a", "b", "c", "b"], (3, 1, 1), [0, 1, 0, 2, 0]),
+            ([5, 3, 5, 5, 9], (3, 1, 1), [0, 1, 0, 0, 2]),
+            ([(1, 2), (0, 0), (1, 2), (0, 1)], (2, 1, 1), [0, 1, 0, 2]),
+        ],
+    )
+    def test_first_appearance_order(self, labels, sizes, codes):
+        s = ClusteredSample(values=[float(i) for i in range(len(labels))], cluster_ids=labels)
+        assert s.cluster_spec().sizes == sizes
+        assert s.cluster_ids.tolist() == codes
+        assert s.cluster_ids.dtype == np.intp
+
+    def test_hash_equal_labels_form_one_cluster(self):
+        s = ClusteredSample.from_pairs([(0.1, 1), (0.2, "x"), (0.3, 1.0), (0.4, True)])
+        assert s.cluster_spec().sizes == (3, 1)
+
+    def test_length_mismatch_and_nonfinite_values(self):
+        with pytest.raises(DomainError, match="3 values but 2 cluster labels"):
+            ClusteredSample(values=[1.0, 2.0, 3.0], cluster_ids=["a", "b"])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"must be finite, got {bad}$"):
+                ClusteredSample.from_pairs([(1.0, "a"), (bad, "a"), (math.nan, "b")])
+
+    def test_stored_ecdf_and_read_only_arrays(self):
+        values = np.array([0.3, 0.1, 0.3])
+        s = ClusteredSample(values=values, cluster_ids=["a", "b", "a"])
+        assert ecdf(s) is ecdf(s)
+        assert s.cluster_spec() is s.cluster_spec()
+        assert s.values.dtype == np.float64
+        for array in (s.values, s.cluster_ids, ecdf(s).jump_points, ecdf(s).values):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        values[0] = 5.0  # the sample keeps its own copy of the caller's array
+        assert s.values.tolist() == [0.3, 0.1, 0.3]
+
+
 class TestEcdf:
     def test_uniform_jumps(self):
         f = ecdf(ClusteredSample.iid([1.0, 2.0, 3.0]))

@@ -142,6 +142,32 @@ class TestTwoSampleClustered:
                 assert (out.statistic > crit) == (out.p_upper < alpha)
 
 
+def test_two_sample_golden_values():
+    """Recorded before cluster labels were factored into codes; must match bit for bit."""
+    rng = np.random.default_rng(20261018)
+    samples = []
+    for shift in (0.0, 1.25):
+        labels = rng.integers(0, 700, size=10_000)
+        values = rng.normal(shift, 1.0, size=10_000)
+        samples.append(ClusteredSample.from_pairs(zip(values.tolist(), (f"c{k}" for k in labels.tolist()))))
+    expected = {
+        TailSide.TWO_SIDED: (
+            0.10623229086330133,
+            {0.01: 0.6007299591817663, 0.05: 0.5131081771268704, 0.1: 0.46980260328814083},
+        ),
+        TailSide.PLUS: (
+            1.403112687370367e-06,
+            {0.01: 0.38497880317274635, 0.05: 0.3637694343969464, 0.1: 0.35305070810010264},
+        ),
+    }
+    for side, (p_upper, critical) in expected.items():
+        out = two_sample_clustered(*samples, side)
+        assert out.statistic == 0.4658
+        assert out.p_upper == p_upper
+        assert (out.params[0].c, out.params[1].c) == (655.720505691654, 655.050438883794)
+        assert dict(out.critical_at) == critical
+
+
 class TestDegradation:
     def test_size_variance_never_helps(self):
         # same K and total n, rising size variance -> nu drops -> p never drops
