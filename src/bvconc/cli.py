@@ -23,6 +23,14 @@ Input CSV schemas (exact headers):
   own cluster) with a notice on stderr.
 * trajectory panel: ``time,unit_1,...,unit_n`` — times strictly increasing
   within [0, 1], values within [0, 1].
+
+Both share the dialect ``csv.reader`` reads by default: UTF-8, comma-separated,
+``"`` quoting (quoted cells may hold commas, line breaks and ``""``); blank
+lines are skipped; every cell is stripped; numbers use Python ``float()``
+grammar and must be finite; cluster labels may not be empty.  Errors name
+the first bad row (and column), counting non-blank records with the header
+as row 1.  The whole file is read into arrays by numpy's C tokenizer; a
+row-by-row ``csv.reader`` pass runs only when that fails, to name the fault.
 """
 
 from __future__ import annotations
@@ -33,9 +41,10 @@ import enum
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -129,11 +138,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: str) -> list[list[str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [row for row in csv.reader(fh) if row]
-
-
 def _parse_finite(token: str, path: str, row: int, col: int) -> float:
     try:
         value = float(token)
@@ -146,38 +150,97 @@ def _parse_finite(token: str, path: str, row: int, col: int) -> float:
     return value
 
 
-def _ingest_clustered(path: str) -> tuple[ClusteredSample, tuple[str, ...]]:
-    rows = _read_rows(path)
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
-    if header == ["value", "cluster"]:
-        clustered = True
-    elif header == ["value"]:
-        clustered = False
-    else:
+HeaderCheck = Callable[[str, list[str]], int]
+
+
+def _clustered_header(path: str, header: list[str]) -> int:
+    """Check a ``value,cluster`` or ``value`` header; one leading numeric column."""
+    if header not in (["value", "cluster"], ["value"]):
         raise DataFormatError(
             f"{path}: row 1: expected header 'value,cluster' or 'value', got {','.join(header)!r}"
         )
-    if len(rows) == 1:
-        raise DataFormatError(f"{path}: no data rows")
-    values: list[float] = []
-    clusters: list = []
+    return 1
+
+
+def _panel_header(path: str, header: list[str]) -> int:
+    """Check a ``time,unit_1,...,unit_n`` header; every column is numeric."""
+    if len(header) < 2 or header[0] != "time" or any(not h for h in header[1:]):
+        raise DataFormatError(
+            f"{path}: row 1: expected header 'time,unit_1,...,unit_n', got {','.join(header)!r}"
+        )
+    return len(header)
+
+
+def _raise_first_fault(path: str, check_header: HeaderCheck, exc: Exception) -> NoReturn:
+    """Re-read ``path`` row by row, name its first bad row or cell, and raise.
+
+    Runs only after the array path has failed, so every message names the same
+    row and column a row-by-row read would.  ``check_header`` returns how many
+    leading columns are numeric; any column after them is a cluster label.  If
+    no row is at fault, ``exc`` is re-raised as a :class:`DataFormatError`.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header = [cell.strip() for cell in rows[0]]
+    numeric = check_header(path, header)
     for row_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_no}: expected {len(header)} columns, got {len(row)}"
             )
-        values.append(_parse_finite(row[0].strip(), path, row_no, 1))
+        for col, cell in enumerate(row, start=1):
+            if col <= numeric:
+                _parse_finite(cell.strip(), path, row_no, col)
+            elif not cell.strip():
+                raise DataFormatError(f"{path}: row {row_no}, column {col}: empty cluster label")
+    raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.ndarray]:
+    """The stripped header of ``path`` and its data rows as a 2-d object array of str cells.
+
+    numpy's C tokenizer splits records as ``csv.reader`` does; the file is
+    opened with ``newline=""`` so line ends inside quoted cells stay verbatim.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            cells = np.loadtxt(
+                fh, dtype=object, delimiter=",", quotechar='"', comments=None, ndmin=2
+            )
+    except ValueError as exc:  # ragged records
+        _raise_first_fault(path, check_header, exc)
+    if cells.shape[0] == 0:
+        raise DataFormatError(f"{path}: empty file")
+    header = [cell.strip() for cell in cells[0].tolist()]
+    check_header(path, header)
+    if cells.shape[0] == 1:
+        raise DataFormatError(f"{path}: no data rows")
+    return header, cells[1:]
+
+
+def _finite(cells: np.ndarray) -> np.ndarray:
+    """Cells as float64 in Python ``float()`` grammar; ValueError unless all are finite."""
+    values = cells.astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
+
+
+def _ingest_clustered(path: str) -> tuple[ClusteredSample, tuple[str, ...]]:
+    header, body = _read_table(path, _clustered_header)
+    clustered = len(header) == 2
+    try:
+        values = _finite(body[:, 0])
         if clustered:
-            token = row[1].strip()
-            if not token:
-                raise DataFormatError(f"{path}: row {row_no}, column 2: empty cluster label")
-            clusters.append(token)
-        else:
-            clusters.append(row_no)
+            clusters: list = list(map(str.strip, body[:, 1].tolist()))
+            if "" in clusters:
+                raise ValueError("empty cluster label")
+    except ValueError as exc:
+        _raise_first_fault(path, _clustered_header, exc)
     notes: tuple[str, ...] = ()
     if not clustered:
+        clusters = list(range(2, len(values) + 2))  # each row its own cluster, named by row number
         notes = (
             f"{path}: no cluster column; treating each observation as its own cluster (iid)",
         )
@@ -194,26 +257,11 @@ def ingest_clustered_csv(path: str) -> ClusteredSample:
 
 def ingest_trajectory_csv(path: str, k_lip: float) -> TrajectoryPanel:
     """Load a ``time,unit_1,...,unit_n`` CSV into a consistency-checked panel."""
-    rows = _read_rows(path)
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
-    if len(header) < 2 or header[0] != "time" or any(not h for h in header[1:]):
-        raise DataFormatError(
-            f"{path}: row 1: expected header 'time,unit_1,...,unit_n', got {','.join(header)!r}"
-        )
-    if len(rows) == 1:
-        raise DataFormatError(f"{path}: no data rows")
-    data = []
-    for row_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: row {row_no}: expected {len(header)} columns, got {len(row)}"
-            )
-        data.append(
-            [_parse_finite(cell.strip(), path, row_no, col) for col, cell in enumerate(row, start=1)]
-        )
-    matrix = np.asarray(data, dtype=float)
+    _, body = _read_table(path, _panel_header)
+    try:
+        matrix = _finite(body)
+    except ValueError as exc:
+        _raise_first_fault(path, _panel_header, exc)
     try:
         return TrajectoryPanel(times=matrix[:, 0], unit_values=matrix[:, 1:].T, k_lip=k_lip)
     except DataFormatError as exc:

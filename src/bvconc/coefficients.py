@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from .bounds import BoundParams
@@ -69,6 +70,7 @@ class ClusterSpec:
 
     Zero-size clusters are rejected rather than dropped: dropping one
     silently would change the cluster count and with it every statistic.
+    ``n``, ``a_n``, ``s2_n`` and ``nu_n`` are computed on first read and kept.
     """
 
     sizes: tuple[int, ...]
@@ -86,23 +88,23 @@ class ClusterSpec:
         """Number of clusters."""
         return len(self.sizes)
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Total number of observations."""
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def a_n(self) -> float:
         """Mean cluster size."""
         return self.n / self.k
 
-    @property
+    @cached_property
     def s2_n(self) -> float:
         """Population (divide-by-K) variance of cluster sizes."""
         a = self.a_n
         return sum((s - a) ** 2 for s in self.sizes) / self.k
 
-    @property
+    @cached_property
     def nu_n(self) -> float:
         """Effective sample size K / (1 + s^2/a^2); lies in [1, K]."""
         a = self.a_n

@@ -1,17 +1,22 @@
 """CSV ingestion, command execution, exit codes, determinism, and round-trips."""
 
+import csv
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bvconc.bounds import BoundParams, TailSide, tail_bound, tail_bound_raw
 from bvconc.cli import (
+    _ingest_clustered,
     ingest_clustered_csv,
     ingest_trajectory_csv,
     main,
 )
+from bvconc.empirical import ClusteredSample
 from bvconc.errors import DataFormatError, LipschitzConsistencyError
 
 CLUSTERED = "value,cluster\n1.0,a\n2.0,a\n3.0,b\n"
@@ -273,3 +278,183 @@ class TestLocaleIndependence:
             assert payload["nu"] == pytest.approx(1.8)
         finally:
             locale.setlocale(locale.LC_NUMERIC, "C")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def write_golden_sample(path, rng, shift):
+    """2k seeded rows in 150 clusters; each row's label is quoted or not at random."""
+    codes = rng.integers(0, 150, 2000).tolist()
+    values = rng.normal(shift, 1.0, 2000).tolist()
+    quoted = (rng.random(2000) < 0.5).tolist()
+    lines = ["value,cluster"]
+    for value, code, quote in zip(values, codes, quoted):
+        label = f"g,{code}" if code % 5 == 0 else f"c{code}"
+        if quote or "," in label:
+            label = f'"{label}"'
+        lines.append(f"{value!r},{label}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_golden_panel(path, rng, times, lo, hi, k_lip):
+    """40 seeded K-Lipschitz units on the given time grid, clipped to [0, 1]."""
+    vals = np.empty((40, times.size))
+    vals[:, 0] = rng.uniform(lo, hi, 40)
+    steps = rng.uniform(-0.9, 0.9, (40, times.size - 1)) * k_lip * np.diff(times)
+    for j in range(times.size - 1):
+        vals[:, j + 1] = np.clip(vals[:, j] + steps[:, j], 0.0, 1.0)
+    rows = np.column_stack((times, vals.T)).tolist()
+    header = "time," + ",".join(f"unit_{u}" for u in range(1, 41))
+    text = header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    Path(path).write_text(text, encoding="utf-8")
+
+
+class TestGoldenCliOutputs:
+    """Seeded CLI runs whose JSON stdout must match the recorded text byte for byte."""
+
+    def test_two_sample(self, tmp_path, capsys):
+        rng = np.random.default_rng(20231)
+        f, g = str(tmp_path / "f.csv"), str(tmp_path / "g.csv")
+        write_golden_sample(f, rng, 0.0)
+        write_golden_sample(g, rng, 2.5)
+        assert main(["kstest", "two-sample", "--f", f, "--g", g]) == 0
+        expected = (GOLDEN / "kstest_two_sample.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    def test_lipschitz(self, tmp_path, capsys):
+        rng = np.random.default_rng(20232)
+        times = (np.arange(200) + rng.uniform(0.1, 0.9, 200)) / 200
+        f, g = str(tmp_path / "f.csv"), str(tmp_path / "g.csv")
+        write_golden_panel(f, rng, times, 0.1, 0.45, 2.0)
+        write_golden_panel(g, rng, times, 0.55, 0.9, 2.0)
+        assert main(["kstest", "lipschitz", "--f", f, "--g", g, "--k-lip", "2.0"]) == 0
+        expected = (GOLDEN / "kstest_lipschitz.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+
+def csv_reader_rows(path):
+    """Non-blank records of ``path`` as ``csv.reader`` splits them: the reference dialect."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [row for row in csv.reader(fh) if row]
+
+
+def write_raw(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+class TestCsvDialect:
+    """The array reader splits, strips and parses cells exactly as ``csv.reader`` rows would."""
+
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "value,cluster\n1.0,a\n2.0,a\n3.0,b\n",
+            "value,cluster\n\n1.0,a\n\n\n2.0,b\n\n",
+            "value,cluster\r\n1.0,a\r\n2.0,b\r\n1.5,a\r\n",
+            "value,cluster\r1.0,a\r2.0,b\r1.5,a\r",
+            'value,cluster\n1.0,"a,b"\n2.0,a\n3.0,"a,b"\n',
+            'value,cluster\n1.0,"a\nb"\n2.0,"a\r\nb"\n3.0,"a\nb"\n',
+            'value,cluster\n1.0,"say ""hi"""\n2.0,say\n3.0,"say ""hi"""\n',
+            'value,cluster\n1.0,a\n2.0,"b',
+            "value , cluster \n 1.0 , a \n2.0,a\n\t3.0\t,\tb\t\n",
+            "value,cluster\n1.0,#a\n2.0,b#\n3.0,#a\n",
+            "value,cluster\n1.0,a\n2.0,b",
+            '"value","cluster"\n"1.5","a"\n"-2e-3",a\n',
+            "value\n1.0\n\n2.0\n0.5\n",
+        ],
+        ids=[
+            "basic", "blank-lines", "crlf", "cr-only", "quoted-comma", "quoted-newline",
+            "doubled-quote", "unterminated-quote", "spaces", "hash-in-label",
+            "no-trailing-newline", "quoted-values", "iid-column",
+        ],
+    )
+    def test_clustered_parity(self, tmp_path, text):
+        path = write_raw(tmp_path, "p.csv", text)
+        sample, _ = _ingest_clustered(path)
+        rows = csv_reader_rows(path)[1:]
+        if len(rows[0]) == 2:
+            labels = [row[1].strip() for row in rows]
+        else:
+            labels = list(range(2, len(rows) + 2))
+        reference = ClusteredSample(values=[float(row[0].strip()) for row in rows], cluster_ids=labels)
+        assert sample.values.tobytes() == reference.values.tobytes()
+        assert np.array_equal(sample.cluster_ids, reference.cluster_ids)
+        assert sample.cluster_spec().sizes == reference.cluster_spec().sizes
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time,unit_1,unit_2\n0.0,0.1,0.2\n0.5,0.3,0.2\n1.0,0.4,0.25\n",
+            "time,unit_1,unit_2\r\n\r\n0.0,0.1,0.2\r\n1.0,0.4,0.25",
+            ' time , "unit 1" ,"u,2"\r"0.0", 0.1 ,0.2\r1.0,0.4,0.25\r',
+        ],
+        ids=["basic", "crlf-blank-no-newline", "quoted-spaced-cr-only"],
+    )
+    def test_panel_parity(self, tmp_path, text):
+        path = write_raw(tmp_path, "t.csv", text)
+        panel = ingest_trajectory_csv(path, 1.0)
+        matrix = np.array([[float(c.strip()) for c in row] for row in csv_reader_rows(path)[1:]])
+        assert panel.times.tobytes() == matrix[:, 0].tobytes()
+        assert panel.unit_values.tobytes() == np.ascontiguousarray(matrix[:, 1:].T).tobytes()
+
+    def test_float_grammar(self, tmp_path):
+        sample, _ = _ingest_clustered(write_raw(tmp_path, "g.csv", "value,cluster\n1_000,a\n١٢,a\n"))
+        assert sample.values.tolist() == [1000.0, 12.0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("value,cluster\n1.0,a\n2.0\n", "row 3: expected 2 columns, got 1"),
+            ("value,cluster\n1.0,a,x\n2.0,b\n", "row 2: expected 2 columns, got 3"),
+            ("value,cluster\n1.0,a\n  \n2.0,b\n", "row 3: expected 2 columns, got 1"),
+            ("value,cluster\n1.0,a\n\n nan ,b\n", "row 3, column 1: cannot parse 'nan' as a finite number"),
+            ("value,cluster\n1.0,a\n-inf,b\n", "row 3, column 1: cannot parse '-inf' as a finite number"),
+            ("value,cluster\n1.0,a\nxyz,b\n", "row 3, column 1: cannot parse 'xyz' as a finite number"),
+            ("value,cluster\n1e999,a\n", "row 2, column 1: cannot parse '1e999' as a finite number"),
+            ("value,cluster\n1.0,a\n2.0, \n", "row 3, column 2: empty cluster label"),
+            ('value,cluster\n1.0,""\n', "row 2, column 2: empty cluster label"),
+            ("value,cluster\n1.0,\nxyz,a\n", "row 2, column 2: empty cluster label"),
+            ("value,cluster\nxyz,a\n1.0,a\n2.0\n", "row 2, column 1: cannot parse 'xyz' as a finite number"),
+            ("value\n1.0\n2.0,a\n", "row 3: expected 1 columns, got 2"),
+            ("value\n1.0\ninf\n", "row 3, column 1: cannot parse 'inf' as a finite number"),
+            ("x,y\n1.0,a\n2.0\n", "row 1: expected header 'value,cluster' or 'value', got 'x,y'"),
+            ("\ufeffvalue,cluster\n1.0,a\n", "row 1: expected header 'value,cluster' or 'value', got '\\ufeffvalue,cluster'"),
+            ("value,cluster\n", "no data rows"),
+            ("value,cluster\n\n\n", "no data rows"),
+            ("", "empty file"),
+            ("\n\r\n\n", "empty file"),
+        ],
+    )
+    def test_clustered_errors_name_the_row(self, tmp_path, text, message):
+        path = write_raw(tmp_path, "e.csv", text)
+        with pytest.raises(DataFormatError) as info:
+            _ingest_clustered(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("time,unit_1,unit_2\n0.0,0.1,0.1\n0.5,0.1,oops\n", "row 3, column 3: cannot parse 'oops' as a finite number"),
+            ("time,unit_1\n0.0,0.1\nnan,0.1\n", "row 3, column 1: cannot parse 'nan' as a finite number"),
+            ("time,unit_1,unit_2\n0.0,0.1,0.1\n0.5,0.1\n", "row 3: expected 3 columns, got 2"),
+            ("time,unit_1\n0.0,0.1\n\t\n", "row 3: expected 2 columns, got 1"),
+            ("time,,unit_2\n0.0,0.1,0.1\n", "row 1: expected header 'time,unit_1,...,unit_n', got 'time,,unit_2'"),
+            ("time,unit_1\n", "no data rows"),
+            ("", "empty file"),
+            ("\n\n", "empty file"),
+        ],
+    )
+    def test_panel_errors_name_the_row(self, tmp_path, text, message):
+        path = write_raw(tmp_path, "e.csv", text)
+        with pytest.raises(DataFormatError) as info:
+            ingest_trajectory_csv(path, 1.0)
+        assert str(info.value) == f"{path}: {message}"

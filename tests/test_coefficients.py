@@ -85,6 +85,20 @@ class TestClusterSpec:
             else:
                 assert nu < k
 
+    def test_nu_computed_once_and_bit_identical(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            sizes = rng.integers(1, 60, size=int(rng.integers(1, 300))).tolist()
+            spec = ClusterSpec(sizes)
+            k = len(sizes)
+            a = sum(sizes) / k
+            s2 = sum((s - a) ** 2 for s in sizes) / k
+            nu = spec.nu_n
+            assert nu == k / (1.0 + s2 / (a * a))
+            assert spec.nu_n is nu
+            assert (spec.n, spec.a_n, spec.s2_n) == (sum(sizes), a, s2)
+            assert spec == ClusterSpec(sizes) and hash(spec) == hash(ClusterSpec(sizes))
+
     def test_merging_never_increases_coefficient(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
