@@ -1,10 +1,16 @@
 """CSV ingestion, command execution, exit codes, determinism, and round-trips."""
 
 import csv
+import io
 import json
 import math
+import os
+import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -458,3 +464,179 @@ class TestCsvDialect:
         with pytest.raises(DataFormatError) as info:
             ingest_trajectory_csv(path, 1.0)
         assert str(info.value) == f"{path}: {message}"
+
+
+def write_matrix_inputs(directory: Path) -> None:
+    """The small seeded files every golden-matrix case reads."""
+    rng = np.random.default_rng(5150)
+
+    def clustered(name, values, labels):
+        rows = "".join(f"{v!r},{c}\n" for v, c in zip(values, labels))
+        (directory / name).write_text("value,cluster\n" + rows, encoding="utf-8")
+
+    clustered("f.csv", rng.normal(0.0, 1.0, 400).tolist(), [f"c{i % 100}" for i in range(400)])
+    clustered("g.csv", rng.normal(-2.0, 1.0, 300).tolist(), [f"k{i % 75}" for i in range(300)])
+    clustered("u.csv", rng.uniform(0.0, 1.0, 50).tolist(), [f"u{i % 8}" for i in range(50)])
+    clustered("one.csv", [0.1, 0.2, 0.3], ["a", "a", "a"])
+    iid = "".join(f"{v!r}\n" for v in rng.uniform(0.0, 1.0, 20).tolist())
+    (directory / "iid.csv").write_text("value\n" + iid, encoding="utf-8")
+    (directory / "bad.csv").write_text("value,cluster\n0.5,a\nxyz,b\n", encoding="utf-8")
+    times = np.linspace(0.0, 1.0, 11)
+    header = "time," + ",".join(f"unit_{u}" for u in range(1, 41))
+    for name, start in (("pa.csv", 0.1), ("pb.csv", 0.8)):
+        steps = rng.uniform(-0.9, 0.9, (40, 10)) * 0.1 * 0.25  # |slope| <= 0.225 < --k-lip 1
+        units = np.clip(start + np.concatenate((np.zeros((40, 1)), np.cumsum(steps, axis=1)), axis=1), 0.0, 1.0)
+        rows = np.column_stack((times, units.T)).tolist()
+        text = header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+def _formats(case_id, argv, formats=("json", "csv", "table")):
+    return [(f"{case_id}-{fmt}", argv + ["--format", fmt]) for fmt in formats]
+
+
+CLI_MATRIX = [
+    *_formats("bound-eval-one", ["bound", "eval", "--c", "100", "--d", "1", "--eps", "0.5"]),
+    *_formats(
+        "bound-eval-many",
+        ["bound", "eval", "--c", "9", "--d", "2", "--side", "plus", "--eps", "0", "0.5", "1.25"],
+    ),
+    *_formats(
+        "bound-critical",
+        ["bound", "critical", "--c", "100", "--d", "1", "--side", "minus", "--alpha", "0.2", "0.01"],
+    ),
+    *_formats("one-sample-uniform", ["kstest", "one-sample", "--data", "{tmp}/u.csv"]),
+    *_formats(
+        "one-sample-normal",
+        [
+            "kstest", "one-sample", "--data", "{tmp}/f.csv", "--ref", "normal",
+            "--ref-loc", "1.0", "--ref-scale", "0.5", "--side", "plus",
+        ],
+    ),
+    *_formats("one-sample-iid", ["kstest", "one-sample", "--data", "{tmp}/iid.csv"]),
+    *_formats(
+        "two-sample",
+        [
+            "kstest", "two-sample", "--f", "{tmp}/f.csv", "--g", "{tmp}/g.csv",
+            "--side", "minus", "--alpha", "0.2", "0.02",
+        ],
+    ),
+    *_formats(
+        "lipschitz", ["kstest", "lipschitz", "--f", "{tmp}/pa.csv", "--g", "{tmp}/pb.csv", "--k-lip", "1.0"]
+    ),
+    *_formats(
+        "lipschitz-exhaustive",
+        [
+            "kstest", "lipschitz", "--f", "{tmp}/pa.csv", "--g", "{tmp}/pb.csv",
+            "--k-lip", "1.0", "--grid-exhaustive",
+        ],
+    ),
+    *_formats(
+        "simulate-grid",
+        ["simulate", "grid", "--n", "8", "--m", "1", "4", "--eps", "0.25", "--trials", "100", "--seed", "3"],
+    ),
+    *_formats(
+        "simulate-coverage",
+        ["simulate", "coverage", "--n", "25", "--trials", "150", "--seed", "7", "--eps", "0.5", "1", "--side", "plus"],
+    ),
+    *_formats(
+        "simulate-sharpness",
+        ["simulate", "sharpness", "--n", "16", "--l-target", "0.25", "--trials", "100", "--seed", "2"],
+    ),
+    ("out-file", ["bound", "eval", "--c", "4", "--d", "1", "--eps", "1", "--out", "{tmp}/out.json"]),
+    ("missing-file", ["kstest", "two-sample", "--f", "{tmp}/missing.csv", "--g", "{tmp}/f.csv"]),
+    (
+        "alpha-high-missing-file",
+        ["kstest", "two-sample", "--f", "{tmp}/missing.csv", "--g", "{tmp}/f.csv", "--alpha", "1.5"],
+    ),
+    ("alpha-zero-bad-csv", ["kstest", "one-sample", "--data", "{tmp}/bad.csv", "--alpha", "0"]),
+    ("bad-csv", ["kstest", "one-sample", "--data", "{tmp}/bad.csv"]),
+    ("ref-scale-zero", ["kstest", "one-sample", "--data", "{tmp}/f.csv", "--ref", "normal", "--ref-scale", "0"]),
+    ("ref-scale-nan", ["kstest", "one-sample", "--data", "{tmp}/f.csv", "--ref", "normal", "--ref-scale", "nan"]),
+    ("vacuous-clusters", ["kstest", "two-sample", "--f", "{tmp}/one.csv", "--g", "{tmp}/f.csv"]),
+    (
+        "lipschitz-too-fast",
+        ["kstest", "lipschitz", "--f", "{tmp}/pa.csv", "--g", "{tmp}/pb.csv", "--k-lip", "0.01"],
+    ),
+    ("vacuous-pair", ["bound", "eval", "--c", "0.5", "--d", "1", "--eps", "1"]),
+    ("eps-negative", ["bound", "eval", "--c", "4", "--d", "1", "--eps", "-1"]),
+    ("bad-seed", ["simulate", "coverage", "--n", "10", "--trials", "10", "--seed", "abc"]),
+    ("missing-required", ["bound", "eval", "--c", "4", "--d", "1"]),
+    ("format-xml", ["bound", "eval", "--c", "4", "--d", "1", "--eps", "1", "--format", "xml"]),
+    ("no-args", []),
+    ("help-top", ["--help"]),
+    *[(f"help-{group}", [group, "--help"]) for group in ("bound", "kstest", "simulate")],
+    *[
+        (f"help-{group}-{leaf}", [group, leaf, "--help"])
+        for group, leaf in (
+            ("bound", "eval"), ("bound", "critical"), ("kstest", "one-sample"),
+            ("kstest", "two-sample"), ("kstest", "lipschitz"), ("simulate", "grid"),
+            ("simulate", "coverage"), ("simulate", "sharpness"),
+        )
+    ],
+]
+
+CLI_MATRIX_GOLDEN = GOLDEN / "cli_matrix.json"
+
+
+def run_matrix_case(argv: list[str], directory: Path) -> dict:
+    """Run ``main`` on one matrix case; the input directory reads as ``{tmp}`` in the result."""
+    real = [arg.replace("{tmp}", str(directory)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps --help and usage text to the terminal width it reads from COLUMNS
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
+        code = main(real)
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout": out.getvalue().replace(str(directory), "{tmp}"),
+        "stderr": err.getvalue().replace(str(directory), "{tmp}"),
+    }
+
+
+def record_cli_matrix() -> None:
+    """Rewrite the golden file from the current code: ``PYTHONPATH=src python tests/test_cli.py``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        write_matrix_inputs(directory)
+        cases = {case_id: run_matrix_case(argv, directory) for case_id, argv in CLI_MATRIX}
+    golden = {"python": "{}.{}".format(*sys.version_info[:2]), "cases": cases}
+    CLI_MATRIX_GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def matrix_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("matrix")
+    write_matrix_inputs(directory)
+    return directory
+
+
+class TestGoldenCliMatrix:
+    """Every command, format and error path: exit code, stdout and stderr byte for byte.
+
+    Help and usage-error text is argparse's own and its wording differs between
+    Python versions, so on a version other than the recorded one only the exit
+    code and the ``usage: bvconc`` prefix of those cases are compared.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(CLI_MATRIX_GOLDEN.read_text(encoding="utf-8"))
+
+    def test_matrix_ids_match_golden(self, golden):
+        assert list(golden["cases"]) == [case_id for case_id, _ in CLI_MATRIX]
+
+    @pytest.mark.parametrize("case_id, argv", CLI_MATRIX, ids=[case_id for case_id, _ in CLI_MATRIX])
+    def test_case(self, case_id, argv, golden, matrix_dir):
+        expected = golden["cases"][case_id]
+        got = run_matrix_case(argv, matrix_dir)
+        argparse_text = (expected["stdout"] + expected["stderr"]).startswith("usage: ")
+        if argparse_text and golden["python"] != "{}.{}".format(*sys.version_info[:2]):
+            assert got["exit"] == expected["exit"]
+            assert (got["stdout"] + got["stderr"]).startswith("usage: bvconc")
+        else:
+            assert got == expected
+
+
+if __name__ == "__main__":
+    record_cli_matrix()
