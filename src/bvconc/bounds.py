@@ -63,13 +63,6 @@ class TailSide(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
-    @classmethod
-    def parse(cls, token: str) -> "TailSide":
-        for side in cls:
-            if side.value == token:
-                return side
-        raise DomainError(f"unknown tail side {token!r}; expected one of two/plus/minus")
-
     @property
     def is_two_sided(self) -> bool:
         return self is TailSide.TWO_SIDED

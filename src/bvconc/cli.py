@@ -1,6 +1,9 @@
 """Command-line front end: CSV ingestion, tests, bound tables, simulations.
 
-Commands map one-to-one onto the library API::
+The public surface is :func:`main` (``main(argv) -> exit code``, the
+``bvconc`` and ``python -m bvconc`` entry point) and the two readers
+:func:`ingest_clustered_csv` and :func:`ingest_trajectory_csv`.  Commands map
+one-to-one onto the library API::
 
     bound eval          tail bound at one or more thresholds
     bound critical      critical statistic values for alpha levels
@@ -10,6 +13,9 @@ Commands map one-to-one onto the library API::
     simulate grid       binomial-grid conjecture refutation sweep
     simulate coverage   iid uniform coverage validation
     simulate sharpness  fixed-n lower-bound construction
+
+The argparse parser is the only command table: each command's subparser
+names its handler, which reads the parsed options and returns the payload.
 
 Results go to stdout (or ``--out``); every diagnostic goes to stderr.  Exit
 codes: 0 success, 2 domain or validation error, 1 I/O error.  JSON output
@@ -37,12 +43,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import enum
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
@@ -57,11 +61,12 @@ from .bounds import (
     tail_bound,
     tail_bound_raw,
 )
-from .empirical import ClusteredSample, TrajectoryPanel, lipschitz_sup_interval
+from .empirical import ClusteredSample, TrajectoryPanel
 from .errors import BvconcError, DataFormatError, DomainError
 from .kstests import (
     DEFAULT_ALPHAS,
     KsOutcome,
+    _validate_alphas,
     lipschitz_two_sample,
     one_sample_clustered,
     two_sample_clustered,
@@ -73,64 +78,12 @@ from .montecarlo import (
 )
 
 __all__ = [
-    "Command",
-    "OutputFormat",
-    "RunConfig",
     "ingest_clustered_csv",
     "ingest_trajectory_csv",
-    "run",
     "main",
 ]
 
 DEFAULT_COVERAGE_EPS = (0.25, 0.5, 1.0, 1.5, 2.0)
-
-
-class Command(enum.Enum):
-    BOUND_EVAL = "bound-eval"
-    CRITICAL = "bound-critical"
-    KS_ONE_SAMPLE = "kstest-one-sample"
-    KS_TWO_SAMPLE = "kstest-two-sample"
-    LIPSCHITZ_TEST = "kstest-lipschitz"
-    SIMULATE_GRID = "simulate-grid"
-    SIMULATE_COVERAGE = "simulate-coverage"
-    SIMULATE_SHARPNESS = "simulate-sharpness"
-
-
-class OutputFormat(enum.Enum):
-    JSON = "json"
-    PLOT_CSV = "csv"
-    TABLE = "table"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully explicit run description; no environment variables are consulted."""
-
-    command: Command
-    side: TailSide = TailSide.TWO_SIDED
-    alpha_levels: tuple[float, ...] = DEFAULT_ALPHAS
-    inputs: tuple[str, ...] = ()
-    output: str | None = None
-    format: OutputFormat = OutputFormat.JSON
-    c: float | None = None
-    d: float | None = None
-    eps_values: tuple[float, ...] = ()
-    n: int | None = None
-    m_values: tuple[int, ...] = ()
-    trials: int | None = None
-    seed: int = 0
-    k_lip: float | None = None
-    l_target: float | None = None
-    ref: str = "uniform"
-    ref_loc: float = 0.0
-    ref_scale: float = 1.0
-    grid_exhaustive: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha_levels", tuple(sorted(self.alpha_levels)))
-        for a in self.alpha_levels:
-            if not (0.0 < a < 1.0):
-                raise DomainError(f"alpha levels must lie in (0, 1), got {a}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +200,18 @@ def _ingest_clustered(path: str) -> tuple[ClusteredSample, tuple[str, ...]]:
     return ClusteredSample(values=values, cluster_ids=clusters), notes
 
 
-def ingest_clustered_csv(path: str) -> ClusteredSample:
-    """Load a ``value,cluster`` CSV; single-column files degrade to iid with a stderr notice."""
-    sample, notes = _ingest_clustered(path)
+def _ingest_clustered_files(*paths: str) -> tuple[list[ClusteredSample], tuple[str, ...]]:
+    """Ingest clustered CSVs in order, then print all their notes to stderr once."""
+    loaded = [_ingest_clustered(path) for path in paths]
+    notes = tuple(note for _, file_notes in loaded for note in file_notes)
     for note in notes:
         print(note, file=sys.stderr)
+    return [sample for sample, _ in loaded], notes
+
+
+def ingest_clustered_csv(path: str) -> ClusteredSample:
+    """Load a ``value,cluster`` CSV; single-column files degrade to iid with a stderr notice."""
+    (sample,), _ = _ingest_clustered_files(path)
     return sample
 
 
@@ -269,7 +229,7 @@ def ingest_trajectory_csv(path: str, k_lip: float) -> TrajectoryPanel:
 
 
 # ---------------------------------------------------------------------------
-# Payload construction
+# Command handlers: each takes the parsed options and returns the payload
 # ---------------------------------------------------------------------------
 
 
@@ -277,9 +237,8 @@ def _alpha_map(critical: dict) -> dict:
     return {repr(float(a)): v for a, v in sorted(critical.items())}
 
 
-def _ks_payload(command: Command, outcome: KsOutcome, **extra) -> dict:
-    payload = {
-        "command": command.value,
+def _ks_payload(outcome: KsOutcome, **extra) -> dict:
+    return {
         "statistic": outcome.statistic,
         "side": outcome.side.value,
         "p_upper": outcome.p_upper,
@@ -287,47 +246,36 @@ def _ks_payload(command: Command, outcome: KsOutcome, **extra) -> dict:
         "critical": _alpha_map(dict(outcome.critical_at)),
         "conservative": outcome.conservative,
         "notes": list(outcome.notes),
+        **extra,
     }
-    payload.update(extra)
-    return payload
 
 
-def _make_ref(config: RunConfig) -> Callable:
-    if config.ref == "uniform":
+def _make_ref(ns: argparse.Namespace) -> Callable:
+    if ns.ref == "uniform":
         return lambda r: np.clip(r, 0.0, 1.0)
-    if config.ref == "normal":
-        loc, scale = config.ref_loc, config.ref_scale
-        if not (math.isfinite(scale) and scale > 0):
-            raise DomainError(f"--ref-scale must be positive, got {scale}")
-        root2 = math.sqrt(2.0)
-        return lambda r: 0.5 * (1.0 + math.erf((r - loc) / (scale * root2)))
-    raise DomainError(f"unknown reference CDF {config.ref!r}; expected uniform or normal")
+    loc, scale = ns.ref_loc, ns.ref_scale
+    if not (math.isfinite(scale) and scale > 0):
+        raise DomainError(f"--ref-scale must be positive, got {scale}")
+    root2 = math.sqrt(2.0)
+    return lambda r: 0.5 * (1.0 + math.erf((r - loc) / (scale * root2)))
 
 
-def _require(config: RunConfig, **fields) -> None:
-    for name, value in fields.items():
-        if value is None or (isinstance(value, tuple) and not value):
-            raise DomainError(f"{config.command.value}: missing required option --{name}")
-
-
-def _run_bound_eval(config: RunConfig) -> dict:
-    _require(config, c=config.c, d=config.d, eps=config.eps_values)
-    params = BoundParams(c=config.c, d=config.d)
+def _run_bound_eval(ns: argparse.Namespace) -> dict:
+    params = BoundParams(c=ns.c, d=ns.d)
     x = params.product
     results = [
         {
             "eps": eps,
-            "p_upper": tail_bound(params, config.side, eps),
-            "p_upper_raw": tail_bound_raw(params, config.side, eps),
+            "p_upper": tail_bound(params, ns.side, eps),
+            "p_upper_raw": tail_bound_raw(params, ns.side, eps),
         }
-        for eps in config.eps_values
+        for eps in ns.eps
     ]
     payload = {
-        "command": config.command.value,
         "c": params.c,
         "d": params.d,
         "x": x,
-        "side": config.side.value,
+        "side": ns.side.value,
         "denominator": denominator(x),
         "shift": one_sided_shift(x),
         "results": results,
@@ -337,32 +285,23 @@ def _run_bound_eval(config: RunConfig) -> dict:
     return payload
 
 
-def _run_critical(config: RunConfig) -> dict:
-    _require(config, c=config.c, d=config.d)
-    params = BoundParams(c=config.c, d=config.d)
-    critical = {a: critical_statistic(params, config.side, a) for a in config.alpha_levels}
+def _run_critical(ns: argparse.Namespace) -> dict:
+    params = BoundParams(c=ns.c, d=ns.d)
+    critical = {a: critical_statistic(params, ns.side, a) for a in ns.alpha}
     return {
-        "command": config.command.value,
         "c": params.c,
         "d": params.d,
         "x": params.product,
-        "side": config.side.value,
+        "side": ns.side.value,
         "critical": _alpha_map(critical),
     }
 
 
-def _run_ks_one_sample(config: RunConfig) -> dict:
-    if len(config.inputs) != 1:
-        raise DomainError("kstest one-sample needs exactly one --data file")
-    sample, notes = _ingest_clustered(config.inputs[0])
-    for note in notes:
-        print(note, file=sys.stderr)
-    outcome = one_sample_clustered(
-        sample, _make_ref(config), config.side, config.alpha_levels, notes=notes
-    )
+def _run_ks_one_sample(ns: argparse.Namespace) -> dict:
+    (sample,), notes = _ingest_clustered_files(ns.data)
+    outcome = one_sample_clustered(sample, _make_ref(ns), ns.side, ns.alpha, notes=notes)
     spec = sample.cluster_spec()
     return _ks_payload(
-        config.command,
         outcome,
         nu=spec.nu_n,
         c=outcome.params.c,
@@ -372,18 +311,10 @@ def _run_ks_one_sample(config: RunConfig) -> dict:
     )
 
 
-def _run_ks_two_sample(config: RunConfig) -> dict:
-    if len(config.inputs) != 2:
-        raise DomainError("kstest two-sample needs --f and --g files")
-    sample_f, notes_f = _ingest_clustered(config.inputs[0])
-    sample_g, notes_g = _ingest_clustered(config.inputs[1])
-    for note in notes_f + notes_g:
-        print(note, file=sys.stderr)
-    outcome = two_sample_clustered(
-        sample_f, sample_g, config.side, config.alpha_levels, notes=notes_f + notes_g
-    )
+def _run_ks_two_sample(ns: argparse.Namespace) -> dict:
+    (sample_f, sample_g), notes = _ingest_clustered_files(ns.f, ns.g)
+    outcome = two_sample_clustered(sample_f, sample_g, ns.side, ns.alpha, notes=notes)
     return _ks_payload(
-        config.command,
         outcome,
         nu=outcome.params[0].c,
         xi=outcome.params[1].c,
@@ -392,46 +323,31 @@ def _run_ks_two_sample(config: RunConfig) -> dict:
     )
 
 
-def _run_lipschitz(config: RunConfig) -> dict:
-    if len(config.inputs) != 2:
-        raise DomainError("kstest lipschitz needs --f and --g files")
-    _require(config, **{"k-lip": config.k_lip})
-    panel_f = ingest_trajectory_csv(config.inputs[0], config.k_lip)
-    panel_g = ingest_trajectory_csv(config.inputs[1], config.k_lip)
-    lower, upper = lipschitz_sup_interval(panel_f, panel_g)
-    outcome = lipschitz_two_sample(
-        panel_f, panel_g, config.alpha_levels, exhaustive_grid=config.grid_exhaustive
-    )
+def _run_lipschitz(ns: argparse.Namespace) -> dict:
+    panel_f = ingest_trajectory_csv(ns.f, ns.k_lip)
+    panel_g = ingest_trajectory_csv(ns.g, ns.k_lip)
+    outcome = lipschitz_two_sample(panel_f, panel_g, ns.alpha, exhaustive_grid=ns.grid_exhaustive)
     return _ks_payload(
-        config.command,
         outcome,
         c=outcome.params.c,
         d=outcome.params.d,
         x=outcome.params.product,
         n_units=panel_f.n_units,
         k_lip=panel_f.k_lip,
-        interval=[lower, upper],
+        interval=list(outcome.interval),
     )
 
 
-def _run_simulate(config: RunConfig) -> dict:
-    if config.command is Command.SIMULATE_GRID:
-        _require(config, n=config.n, m=config.m_values, trials=config.trials, eps=config.eps_values)
-        if len(config.eps_values) != 1:
-            raise DomainError("simulate grid takes exactly one --eps threshold")
-        report = conjecture_refutation_experiment(
-            config.n, config.m_values, config.eps_values[0], config.trials, config.seed
-        )
-    elif config.command is Command.SIMULATE_COVERAGE:
-        _require(config, n=config.n, trials=config.trials)
-        eps_grid = config.eps_values or DEFAULT_COVERAGE_EPS
-        report = iid_coverage(config.n, config.trials, config.seed, eps_grid, config.side)
-    else:
-        _require(config, n=config.n, trials=config.trials, **{"l-target": config.l_target})
-        report = sharpness_experiment(config.n, config.l_target, config.trials, config.seed)
-    payload = {"command": config.command.value}
-    payload.update(report.to_dict())
-    return payload
+def _run_simulate_grid(ns: argparse.Namespace) -> dict:
+    return conjecture_refutation_experiment(ns.n, ns.m, ns.eps, ns.trials, ns.seed).to_dict()
+
+
+def _run_simulate_coverage(ns: argparse.Namespace) -> dict:
+    return iid_coverage(ns.n, ns.trials, ns.seed, ns.eps, ns.side).to_dict()
+
+
+def _run_simulate_sharpness(ns: argparse.Namespace) -> dict:
+    return sharpness_experiment(ns.n, ns.l_target, ns.trials, ns.seed).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -502,33 +418,7 @@ def _render_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HANDLERS = {
-    Command.BOUND_EVAL: _run_bound_eval,
-    Command.CRITICAL: _run_critical,
-    Command.KS_ONE_SAMPLE: _run_ks_one_sample,
-    Command.KS_TWO_SAMPLE: _run_ks_two_sample,
-    Command.LIPSCHITZ_TEST: _run_lipschitz,
-    Command.SIMULATE_GRID: _run_simulate,
-    Command.SIMULATE_COVERAGE: _run_simulate,
-    Command.SIMULATE_SHARPNESS: _run_simulate,
-}
-
-_RENDERERS = {
-    OutputFormat.JSON: _render_json,
-    OutputFormat.PLOT_CSV: _render_csv,
-    OutputFormat.TABLE: _render_table,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute a run description, write the result, and return the exit code."""
-    payload = _HANDLERS[config.command](config)
-    text = _RENDERERS[config.format](payload)
-    if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+_RENDERERS = {"json": _render_json, "csv": _render_csv, "table": _render_table}
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +427,7 @@ def run(config: RunConfig) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=[f.value for f in OutputFormat], default="json")
+    parser.add_argument("--format", choices=list(_RENDERERS), default="json")
     parser.add_argument("--out", default=None, metavar="PATH")
 
 
@@ -571,8 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_side(p)
         if name == "eval":
             p.add_argument("--eps", type=float, nargs="+", required=True)
+            p.set_defaults(handler=_run_bound_eval)
         else:
             _add_alpha(p)
+            p.set_defaults(handler=_run_critical)
         _add_common(p)
 
     kstest = top.add_parser("kstest", help="hypothesis tests on data files")
@@ -586,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_side(one)
     _add_alpha(one)
     _add_common(one)
+    one.set_defaults(handler=_run_ks_one_sample)
 
     two = ks_sub.add_parser("two-sample")
     two.add_argument("--f", required=True, metavar="CSV")
@@ -593,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_side(two)
     _add_alpha(two)
     _add_common(two)
+    two.set_defaults(handler=_run_ks_two_sample)
 
     lip = ks_sub.add_parser("lipschitz")
     lip.add_argument("--f", required=True, metavar="CSV")
@@ -601,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     lip.add_argument("--grid-exhaustive", action="store_true")
     _add_alpha(lip)
     _add_common(lip)
+    lip.set_defaults(handler=_run_lipschitz)
 
     sim = top.add_parser("simulate", help="Monte Carlo validation harnesses")
     sim_sub = sim.add_subparsers(dest="subcommand", required=True)
@@ -612,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--trials", type=int, required=True)
     grid.add_argument("--seed", type=int, default=0)
     _add_common(grid)
+    grid.set_defaults(handler=_run_simulate_grid)
 
     cov = sim_sub.add_parser("coverage")
     cov.add_argument("--n", type=int, required=True)
@@ -620,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--eps", type=float, nargs="+", default=list(DEFAULT_COVERAGE_EPS))
     _add_side(cov)
     _add_common(cov)
+    cov.set_defaults(handler=_run_simulate_coverage)
 
     sharp = sim_sub.add_parser("sharpness")
     sharp.add_argument("--n", type=int, required=True)
@@ -627,65 +524,27 @@ def build_parser() -> argparse.ArgumentParser:
     sharp.add_argument("--trials", type=int, required=True)
     sharp.add_argument("--seed", type=int, default=0)
     _add_common(sharp)
+    sharp.set_defaults(handler=_run_simulate_sharpness)
 
     return parser
 
 
-_COMMAND_BY_PATH = {
-    ("bound", "eval"): Command.BOUND_EVAL,
-    ("bound", "critical"): Command.CRITICAL,
-    ("kstest", "one-sample"): Command.KS_ONE_SAMPLE,
-    ("kstest", "two-sample"): Command.KS_TWO_SAMPLE,
-    ("kstest", "lipschitz"): Command.LIPSCHITZ_TEST,
-    ("simulate", "grid"): Command.SIMULATE_GRID,
-    ("simulate", "coverage"): Command.SIMULATE_COVERAGE,
-    ("simulate", "sharpness"): Command.SIMULATE_SHARPNESS,
-}
-
-
-def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    command = _COMMAND_BY_PATH[(ns.group, ns.subcommand)]
-    inputs: tuple[str, ...] = ()
-    if command is Command.KS_ONE_SAMPLE:
-        inputs = (ns.data,)
-    elif command in (Command.KS_TWO_SAMPLE, Command.LIPSCHITZ_TEST):
-        inputs = (ns.f, ns.g)
-    eps = getattr(ns, "eps", None)
-    if eps is None:
-        eps_values: tuple[float, ...] = ()
-    elif isinstance(eps, list):
-        eps_values = tuple(eps)
-    else:
-        eps_values = (eps,)
-    m = getattr(ns, "m", None)
-    return RunConfig(
-        command=command,
-        side=TailSide.parse(getattr(ns, "side", "two")),
-        alpha_levels=tuple(getattr(ns, "alpha", DEFAULT_ALPHAS)),
-        inputs=inputs,
-        output=ns.out,
-        format=OutputFormat(ns.format),
-        c=getattr(ns, "c", None),
-        d=getattr(ns, "d", None),
-        eps_values=eps_values,
-        n=getattr(ns, "n", None),
-        m_values=tuple(m) if m else (),
-        trials=getattr(ns, "trials", None),
-        seed=getattr(ns, "seed", 0),
-        k_lip=getattr(ns, "k_lip", None),
-        l_target=getattr(ns, "l_target", None),
-        ref=getattr(ns, "ref", "uniform"),
-        ref_loc=getattr(ns, "ref_loc", 0.0),
-        ref_scale=getattr(ns, "ref_scale", 1.0),
-        grid_exhaustive=getattr(ns, "grid_exhaustive", False),
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one ``bvconc`` command line, write its result, and return the exit code."""
     try:
-        config = parse_args(argv)
-        return run(config)
+        ns = build_parser().parse_args(argv)
+        if "side" in ns:
+            ns.side = TailSide(ns.side)
+        if "alpha" in ns:
+            # checked before any handler reads a file, so a bad level is reported first
+            ns.alpha = _validate_alphas(sorted(ns.alpha))
+        payload = {"command": f"{ns.group}-{ns.subcommand}", **ns.handler(ns)}
+        text = _RENDERERS[ns.format](payload)
+        if ns.out:
+            Path(ns.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return 0
     except SystemExit as exc:  # argparse usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2
     except BvconcError as exc:

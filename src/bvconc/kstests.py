@@ -33,6 +33,7 @@ from .bounds import (
     critical_statistic,
     denominator,
     one_sided_shift,
+    tail_bound_raw,
 )
 from .coefficients import FiniteTheta, RangeSpec, downward_variation, lipschitz_difference_params
 from .empirical import (
@@ -66,7 +67,8 @@ class KsOutcome:
     value that would be rejected at that level, so
     ``statistic > critical_at[alpha]`` and ``p_upper < alpha`` agree.
     ``conservative`` marks outcomes whose statistic is the upper end of a
-    certified enclosure rather than an exactly attained supremum.
+    certified enclosure rather than an exactly attained supremum;
+    ``interval`` is that enclosure, for tests that compute one.
     """
 
     statistic: float
@@ -77,6 +79,7 @@ class KsOutcome:
     critical_at: Mapping[float, float]
     conservative: bool = False
     notes: tuple[str, ...] = field(default=())
+    interval: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_upper <= 1.0):
@@ -88,17 +91,30 @@ class KsOutcome:
         return self.p_upper < alpha
 
 
-def _single_bound(params: BoundParams, side: TailSide, stat: float) -> tuple[float, float]:
-    """(raw, capped) closed-form tail bound at the observed statistic."""
+def _single_pair_outcome(
+    params: BoundParams, side: TailSide, stat: float, alphas: tuple[float, ...], **fields
+) -> KsOutcome:
+    """Outcome of a statistic under one coefficient pair: closed-form bound and critical values.
+
+    The statistic is standardised to the threshold of :func:`bounds.tail_bound_raw`;
+    ``fields`` sets the remaining :class:`KsOutcome` fields (``notes`` and the like).
+    """
     x = params.product
     root_c = math.sqrt(params.c)
     if side.is_two_sided:
         eps = root_c * stat / denominator(x)
-        raw = 2.0 * math.exp(-2.0 * eps * eps)
     else:
         eps = max(0.0, root_c * stat - one_sided_shift(x))
-        raw = math.exp(-2.0 * eps * eps)
-    return raw, min(1.0, raw)
+    raw = tail_bound_raw(params, side, eps)
+    return KsOutcome(
+        statistic=stat,
+        side=side,
+        params=params,
+        p_upper=min(1.0, raw),
+        p_upper_raw=raw,
+        critical_at={a: critical_statistic(params, side, a) for a in alphas},
+        **fields,
+    )
 
 
 def _effective_size(sample: ClusteredSample, label: str) -> float:
@@ -135,17 +151,7 @@ def one_sample_clustered(
     nu = _effective_size(sample, "sample")
     params = BoundParams(c=nu, d=1.0)
     stat = sup_distance_reference(ecdf(sample), ref_cdf, side, extra_ref_points)
-    raw, p_upper = _single_bound(params, side, stat)
-    critical = {a: critical_statistic(params, side, a) for a in alphas}
-    return KsOutcome(
-        statistic=stat,
-        side=side,
-        params=params,
-        p_upper=p_upper,
-        p_upper_raw=raw,
-        critical_at=critical,
-        notes=tuple(notes),
-    )
+    return _single_pair_outcome(params, side, stat, alphas, notes=tuple(notes))
 
 
 def two_sample_tail_bound(nu: float, xi: float, side: TailSide, eps: float) -> float:
@@ -239,7 +245,8 @@ def lipschitz_two_sample(
     the conservative upper end of the certified enclosure and sets the
     ``conservative`` flag.  With ``exhaustive_grid=True`` the grid itself is
     the parameter set (a finite comparison), the grid maximum is exact, and
-    the coefficient product becomes n_units * grid_size^2.
+    the coefficient product becomes n_units * grid_size^2.  Either way the
+    enclosure is returned as ``interval``.
     """
     alphas = _validate_alphas(alphas)
     lower, upper = lipschitz_sup_interval(panel_f, panel_g)
@@ -250,17 +257,14 @@ def lipschitz_two_sample(
     else:
         params = lipschitz_difference_params(n, panel_f.k_lip)
         stat, conservative = upper, True
-    raw, p_upper = _single_bound(params, TailSide.TWO_SIDED, stat)
-    critical = {a: critical_statistic(params, TailSide.TWO_SIDED, a) for a in alphas}
-    return KsOutcome(
-        statistic=stat,
-        side=TailSide.TWO_SIDED,
-        params=params,
-        p_upper=p_upper,
-        p_upper_raw=raw,
-        critical_at=critical,
+    return _single_pair_outcome(
+        params,
+        TailSide.TWO_SIDED,
+        stat,
+        alphas,
         conservative=conservative,
         notes=tuple(notes),
+        interval=(lower, upper),
     )
 
 
@@ -289,14 +293,4 @@ def finite_theta_test(
     d_coeff = downward_variation(FiniteTheta(ranges))
     params = BoundParams(c=c, d=d_coeff)
     stat = max(abs(obs - exp) for obs, exp in stats)
-    raw, p_upper = _single_bound(params, TailSide.TWO_SIDED, stat)
-    critical = {a: critical_statistic(params, TailSide.TWO_SIDED, a) for a in alphas}
-    return KsOutcome(
-        statistic=stat,
-        side=TailSide.TWO_SIDED,
-        params=params,
-        p_upper=p_upper,
-        p_upper_raw=raw,
-        critical_at=critical,
-        notes=tuple(notes),
-    )
+    return _single_pair_outcome(params, TailSide.TWO_SIDED, stat, alphas, notes=tuple(notes))

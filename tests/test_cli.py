@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -491,8 +492,8 @@ def write_matrix_inputs(directory: Path) -> None:
         (directory / name).write_text(text, encoding="utf-8")
 
 
-def _formats(case_id, argv, formats=("json", "csv", "table")):
-    return [(f"{case_id}-{fmt}", argv + ["--format", fmt]) for fmt in formats]
+def _formats(case_id, argv):
+    return [(f"{case_id}-{fmt}", argv + ["--format", fmt]) for fmt in ("json", "csv", "table")]
 
 
 CLI_MATRIX = [
@@ -636,6 +637,33 @@ class TestGoldenCliMatrix:
             assert (got["stdout"] + got["stderr"]).startswith("usage: bvconc")
         else:
             assert got == expected
+
+
+class TestEntryPoints:
+    """``python -m bvconc`` reaches ``main`` through ``entrypoint`` and exits with its code."""
+
+    def run_module(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "bvconc", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+
+    def test_module_matches_main(self, capsys):
+        argv = ["bound", "eval", "--c", "4", "--d", "1", "--eps", "1"]
+        done = self.run_module(*argv)
+        assert main(argv) == 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_module_usage_error_exits_2(self):
+        done = self.run_module("bound", "eval", "--c", "4")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage: bvconc bound eval")
 
 
 if __name__ == "__main__":

@@ -234,6 +234,21 @@ class TestLipschitzTwoSample:
         with pytest.raises(VacuousBoundError):
             lipschitz_two_sample(f, g)
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_interval_is_the_sup_enclosure(self, exhaustive):
+        rng = np.random.default_rng(31)
+        times = np.sort(rng.uniform(0.0, 1.0, 9))
+
+        def panel(level):
+            starts = rng.uniform(level, level + 0.2, (30, 1))
+            slopes = rng.uniform(-0.15, 0.15, (30, 1))
+            return TrajectoryPanel(times=times, unit_values=starts + slopes * times, k_lip=0.5)
+
+        f, g = panel(0.2), panel(0.4)
+        out = lipschitz_two_sample(f, g, exhaustive_grid=exhaustive)
+        assert out.interval == lipschitz_sup_interval(f, g)
+        assert out.statistic == out.interval[0 if exhaustive else 1]
+
 
 class TestFiniteTheta:
     def test_exact_match_gives_p_one(self):
