@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +218,57 @@ class TestSimConfig:
             SimConfig(n=1, m=1, trials=1, seed=-1, eps_grid=())
         with pytest.raises(DomainError):
             SimConfig(n=1, m=1, trials=1, seed=0, eps_grid=(1.0, 0.5))
+
+
+# Reports recorded in tests/golden/sim_reports.json.  The first two cannot be
+# reached from the command line: a truncated sharpness run (it has notes) and a
+# coverage run with an empty threshold grid (it has no rows).
+SIM_REPORT_CASES = {
+    "sharpness_truncated": lambda: sharpness_experiment(16, 0.1, 50, 1, m_cap=100),
+    "coverage_no_rows": lambda: iid_coverage(25, 150, 7, (), TailSide.TWO_SIDED),
+    "grid_default": lambda: conjecture_refutation_experiment(16, [1, 16, 256], 0.25, 300, 7),
+    "coverage_default": lambda: iid_coverage(
+        100, 300, 7, (0.25, 0.5, 1.0, 1.5, 2.0), TailSide.TWO_SIDED
+    ),
+    "coverage_plus_default": lambda: iid_coverage(25, 200, 3, (0.0, 0.5), TailSide.PLUS),
+    "sharpness_default": lambda: sharpness_experiment(16, 0.25, 500, 7),
+}
+
+SIM_REPORTS_GOLDEN = Path(__file__).parent / "golden" / "sim_reports.json"
+
+
+def _dump_report(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+
+
+def record_sim_reports() -> None:
+    """Rewrite the golden file from the current code: ``PYTHONPATH=src python tests/test_montecarlo.py``."""
+    reports = {case_id: json.loads(_dump_report(make())) for case_id, make in SIM_REPORT_CASES.items()}
+    SIM_REPORTS_GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+class TestGoldenSimReports:
+    """``SimReport.to_dict`` against recorded reports: same bytes, and lists where JSON has lists."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(SIM_REPORTS_GOLDEN.read_text(encoding="utf-8"))
+
+    def test_case_ids_match_golden(self, golden):
+        assert sorted(golden) == sorted(SIM_REPORT_CASES)
+
+    @pytest.mark.parametrize("case_id", list(SIM_REPORT_CASES))
+    def test_report(self, case_id, golden):
+        got = SIM_REPORT_CASES[case_id]().to_dict()
+        expected = golden[case_id]
+        assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(expected, sort_keys=True, indent=2)
+        # a tuple never equals the list JSON decodes to, so this also pins container types
+        assert got == expected
+
+    def test_golden_exercises_notes_and_empty_rows(self, golden):
+        assert golden["sharpness_truncated"]["notes"]
+        assert golden["coverage_no_rows"]["rows"] == []
+
+
+if __name__ == "__main__":
+    record_sim_reports()
