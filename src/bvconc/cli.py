@@ -254,6 +254,8 @@ def _make_ref(ns: argparse.Namespace) -> Callable:
     if ns.ref == "uniform":
         return lambda r: np.clip(r, 0.0, 1.0)
     loc, scale = ns.ref_loc, ns.ref_scale
+    if not math.isfinite(loc):
+        raise DomainError(f"--ref-loc must be finite, got {loc}")
     if not (math.isfinite(scale) and scale > 0):
         raise DomainError(f"--ref-scale must be positive, got {scale}")
     root2 = math.sqrt(2.0)
@@ -372,13 +374,9 @@ def _render_json(payload: dict) -> str:
 def _render_csv(payload: dict) -> str:
     lines: list[str] = []
     if "rows" in payload:  # simulation report
-        lines.append("eps,empirical,bound,stderr,violation,label,m,exact")
-        for r in payload["rows"]:
-            lines.append(
-                ",".join(
-                    _fmt(r[k]) for k in ("eps", "empirical", "bound", "stderr", "violation", "label", "m", "exact")
-                )
-            )
+        columns = ("eps", "empirical", "bound", "stderr", "violation", "label", "m", "exact")
+        lines.append(",".join(columns))
+        lines.extend(",".join(_fmt(r[k]) for k in columns) for r in payload["rows"])
     elif "results" in payload:  # bound curve
         lines.append("eps,bound")
         for r in payload["results"]:

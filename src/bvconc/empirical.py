@@ -81,14 +81,12 @@ class ClusteredSample:
         # first-appearance order keeps the size list deterministic under relabeling
         index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
         codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=values.size)
-        uniq, counts = np.unique(values, return_counts=True)
-        for array in (values, codes, uniq):
+        for array in (values, codes):
             array.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "cluster_ids", codes)
         object.__setattr__(self, "_spec", ClusterSpec(np.bincount(codes).tolist()))
-        cdf = StepCdf(jump_points=uniq, values=np.cumsum(counts) / values.size)
-        object.__setattr__(self, "_ecdf", cdf)
+        object.__setattr__(self, "_ecdf", StepCdf.empirical(values))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, Hashable]]) -> "ClusteredSample":
@@ -143,6 +141,17 @@ class StepCdf:
         padded.setflags(write=False)
         object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "values", padded[1:])
+
+    @classmethod
+    def empirical(cls, values) -> "StepCdf":
+        """Empirical CDF of ``values``: jump (tie count)/n at each distinct value.
+
+        The jump points are stored read-only, like the heights.
+        """
+        values = np.asarray(values, dtype=float)
+        uniq, counts = np.unique(values, return_counts=True)
+        uniq.setflags(write=False)
+        return cls(jump_points=uniq, values=np.cumsum(counts) / values.size)
 
     def __call__(self, r):
         return self.evaluate(r)
@@ -215,7 +224,7 @@ def sup_distance_reference(
     if len(extra_points):
         pts = np.union1d(pts, np.asarray(extra_points, dtype=float))
     ref = _reference_values(ref_cdf, pts)
-    if np.any(ref < -1e-9) or np.any(ref > 1.0 + 1e-9):
+    if not np.all((ref >= -1e-9) & (ref <= 1.0 + 1e-9)):  # also rejects NaN
         raise DomainError("reference CDF values must lie in [0, 1]")
     if np.any(np.diff(ref) < -1e-12):
         raise DomainError("reference CDF must be nondecreasing")

@@ -28,6 +28,7 @@ approximation).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,6 +132,8 @@ class SimConfig:
         _check_seed(self.seed)
         grid = tuple(float(e) for e in self.eps_grid)
         object.__setattr__(self, "eps_grid", grid)
+        if not all(map(math.isfinite, grid)):
+            raise DomainError(f"eps grid must be finite, got {list(grid)}")
         if any(e < 0 for e in grid) or any(a > b for a, b in zip(grid, grid[1:])):
             raise DomainError("eps grid must be nonnegative and sorted ascending")
 
@@ -139,10 +142,13 @@ class SimConfig:
 class SimRow:
     """One threshold: empirical tail frequency against its theoretical reference.
 
-    ``violation`` is set when the empirical frequency exceeds ``bound`` by
-    more than the configured number of binomial standard errors. ``m`` and
+    ``stderr`` is the binomial standard error sqrt(p(1-p)/trials) of the
+    empirical frequency p.  ``violation`` is set when p > bound + sigmas *
+    stderr, with sigmas the experiment's ``violation_sigmas`` (3 by
+    default); all three experiments apply this one rule.  ``m`` and
     ``exact`` are filled by experiments that sweep grid sizes or can
-    enumerate the probability exactly.
+    enumerate the probability exactly.  The coverage experiment builds each
+    trial's ECDF with ``StepCdf.empirical``.
     """
 
     eps: float
@@ -164,35 +170,23 @@ class SimReport:
     notes: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "config": {
-                "n": self.config.n,
-                "m": self.config.m,
-                "trials": self.config.trials,
-                "seed": self.config.seed,
-                "eps_grid": list(self.config.eps_grid),
-            },
-            "statistic": self.statistic,
-            "rows": [
-                {
-                    "eps": r.eps,
-                    "empirical": r.empirical,
-                    "bound": r.bound,
-                    "stderr": r.stderr,
-                    "violation": r.violation,
-                    "label": r.label,
-                    "m": r.m,
-                    "exact": r.exact,
-                }
-                for r in self.rows
-            ],
-            "info": {k: v for k, v in self.info},
-            "notes": list(self.notes),
-        }
+        out = dataclasses.asdict(self)
+        out["config"]["eps_grid"] = list(self.config.eps_grid)
+        out["rows"] = list(out["rows"])
+        out["info"] = dict(self.info)
+        out["notes"] = list(self.notes)
+        return out
 
 
-def _stderr(p_hat: float, trials: int) -> float:
-    return math.sqrt(p_hat * (1.0 - p_hat) / trials)
+def _row(
+    label: str, eps: float, emp: float, bound: float, trials: int, sigmas: float, **extra
+) -> SimRow:
+    """A report row, flagged when ``emp`` exceeds ``bound`` by more than ``sigmas`` stderrs."""
+    se = math.sqrt(emp * (1.0 - emp) / trials)
+    violation = emp > bound + sigmas * se
+    return SimRow(
+        eps=eps, empirical=emp, bound=bound, stderr=se, violation=violation, label=label, **extra
+    )
 
 
 def binomial_grid_sup(n: int, m: int, seed: int) -> float:
@@ -254,20 +248,9 @@ def conjecture_refutation_experiment(
             u = bh.draw(trial_rng(seed, _STREAM_REFUTATION, j * trials + t), m)
             if u.min() <= lo_cut or u.max() >= hi_cut:
                 hits += 1
+        exact = float(1 - (1 - p_one) ** m)
         emp = hits / trials
-        se = _stderr(emp, trials)
-        rows.append(
-            SimRow(
-                eps=eps,
-                empirical=emp,
-                bound=naive,
-                stderr=se,
-                violation=emp > naive + violation_sigmas * se,
-                label=f"m={m}",
-                m=m,
-                exact=float(1 - (1 - p_one) ** m),
-            )
-        )
+        rows.append(_row(f"m={m}", eps, emp, naive, trials, violation_sigmas, m=m, exact=exact))
     config = SimConfig(n=n, m=max(m_list), trials=trials, seed=seed, eps_grid=(eps,))
     return SimReport(
         config=config,
@@ -302,7 +285,6 @@ def iid_coverage(
         raise DomainError(f"need n >= 2, got {n}")
     if trials < 100:
         raise DomainError(f"need at least 100 trials for stable frequencies, got {trials}")
-    _check_seed(seed)
     config = SimConfig(n=n, m=1, trials=trials, seed=seed, eps_grid=tuple(eps_grid))
 
     scale = 2.0 if side.is_two_sided else 1.0
@@ -314,9 +296,7 @@ def iid_coverage(
     raw = np.empty(trials)
     for t in range(trials):
         u = trial_rng(seed, _STREAM_COVERAGE, t).random(n)
-        uniq, counts = np.unique(u, return_counts=True)
-        step = StepCdf(jump_points=uniq, values=np.cumsum(counts) / n)
-        d = sup_distance_reference(step, _uniform_cdf, side)
+        d = sup_distance_reference(StepCdf.empirical(u), _uniform_cdf, side)
         raw[t] = root_n * d
         adjusted[t] = raw[t] / l_n if side.is_two_sided else raw[t] - s_n
 
@@ -325,17 +305,7 @@ def iid_coverage(
         for eps in config.eps_grid:
             bound = min(1.0, scale * math.exp(-2.0 * eps * eps))
             emp = float(np.mean(stats > eps))
-            se = _stderr(emp, trials)
-            rows.append(
-                SimRow(
-                    eps=eps,
-                    empirical=emp,
-                    bound=bound,
-                    stderr=se,
-                    violation=emp > bound + violation_sigmas * se,
-                    label=label,
-                )
-            )
+            rows.append(_row(label, eps, emp, bound, trials, violation_sigmas))
     if side.is_two_sided:
         statistic = "sqrt(n) * sup|F - U| / L(n)  [raw rows: sqrt(n) * sup|F - U|]"
     else:
@@ -389,49 +359,20 @@ def sharpness_experiment(
         u = bh.draw(trial_rng(seed, _STREAM_SHARPNESS, t), m_n)
         mins[t] = int(u.min())
 
-    def exact_min_leq(cut: int) -> float:
-        if cut < 0:
-            return 0.0
-        return float(1 - (1 - bh.cdf_fraction(cut)) ** m_n)
+    def row(label: str, eps: float, cut: int) -> SimRow:
+        # the exact P(min_j U_j <= cut) is both the reference and the ``exact`` column
+        exact = 0.0 if cut < 0 else float(1 - (1 - bh.cdf_fraction(cut)) ** m_n)
+        emp = float(np.mean(mins <= cut))
+        return _row(label, eps, emp, exact, trials, violation_sigmas, m=m_n, exact=exact)
 
     root_n = math.sqrt(n)
-    rows = []
-    emp_anchor = float(np.mean(mins <= k))
-    se = _stderr(emp_anchor, trials)
-    exact_anchor = exact_min_leq(k)
-    rows.append(
-        SimRow(
-            eps=float(k),
-            empirical=emp_anchor,
-            bound=exact_anchor,
-            stderr=se,
-            violation=emp_anchor > exact_anchor + violation_sigmas * se,
-            label="min_le_k",
-            m=m_n,
-            exact=exact_anchor,
-        )
-    )
+    rows = [row("min_le_k", float(k), k)]
     taus = []
     for delta in (-0.1, 0.0, 0.1):
         tau = (1.0 + delta) * root_n * (0.5 - l_target)
         taus.append(tau)
         threshold = Fraction(n, 2) - (1 + Fraction(delta)) * n * (Fraction(1, 2) - Fraction(l_target))
-        cut = _strict_lower_cut(threshold)
-        exact = exact_min_leq(cut)
-        emp = float(np.mean(mins <= cut))
-        se = _stderr(emp, trials)
-        rows.append(
-            SimRow(
-                eps=tau,
-                empirical=emp,
-                bound=exact,
-                stderr=se,
-                violation=emp > exact + violation_sigmas * se,
-                label=f"delta={delta:+g}",
-                m=m_n,
-                exact=exact,
-            )
-        )
+        rows.append(row(f"delta={delta:+g}", tau, _strict_lower_cut(threshold)))
     config = SimConfig(n=n, m=m_n, trials=trials, seed=seed, eps_grid=tuple(sorted(taus)))
     return SimReport(
         config=config,

@@ -666,5 +666,27 @@ class TestEntryPoints:
         assert done.stderr.startswith("usage: bvconc bound eval")
 
 
+
+class TestNonFiniteOptions:
+    """Non-finite option values exit 2 with a message naming the option, and print nothing."""
+
+    def test_coverage_eps_nan_inf(self, capsys):
+        code = main(["simulate", "coverage", "--n", "10", "--trials", "100", "--eps", "nan", "inf"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "eps grid must be finite" in captured.err
+
+    @pytest.mark.parametrize("loc", ["nan", "inf", "-inf"])
+    def test_ref_loc(self, tmp_path, capsys, loc):
+        path = write(tmp_path, "u.csv", CLUSTERED)
+        # the = form lets argparse take "-inf" as a value
+        code = main(["kstest", "one-sample", "--data", path, "--ref", "normal", f"--ref-loc={loc}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--ref-loc must be finite, got {float(loc)}" in captured.err
+
+
 if __name__ == "__main__":
     record_cli_matrix()

@@ -343,3 +343,45 @@ class TestTriangularInequalityOracle:
                     lhs = math.exp(p * alpha * sup_plus) - 1.0
                     rhs = exact_triangle_rhs(breaks, values, alpha, p)
                     assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
+
+
+class TestStepCdfEmpirical:
+    def test_matches_sample_ecdf_with_ties(self):
+        values = [0.5, -1.0, 0.5, 2.0, -1.0, 0.5, 3.25]
+        built = StepCdf.empirical(np.array(values))
+        stored = ecdf(ClusteredSample.iid(values))
+        assert np.array_equal(built.jump_points, stored.jump_points)
+        assert np.array_equal(built.values, stored.values)
+        assert list(built.jump_points) == [-1.0, 0.5, 2.0, 3.25]
+        assert list(built.values) == [2 / 7, 5 / 7, 6 / 7, 1.0]
+
+    def test_jump_points_and_values_read_only(self):
+        built = StepCdf.empirical(np.array([1.0, 1.0, 2.0]))
+        for array in (built.jump_points, built.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_rejects_empty_and_non_finite(self):
+        with pytest.raises(DomainError):
+            StepCdf.empirical(np.array([]))
+        with pytest.raises(DomainError):
+            StepCdf.empirical(np.array([0.0, np.nan]))
+
+
+class TestReferenceRangeCheck:
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+    def test_rejects_out_of_range_or_nan_reference(self, bad):
+        f = ecdf(ClusteredSample.iid([0.2, 0.8]))
+
+        def ref(r):
+            out = uniform_cdf(np.asarray(r, dtype=float))
+            return np.where(r > 0.5, bad, out)
+
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            sup_distance_reference(f, ref, TailSide.TWO_SIDED)
+
+    def test_nan_from_scalar_reference_rejected(self):
+        f = ecdf(ClusteredSample.iid([0.2, 0.8]))
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            sup_distance_reference(f, lambda r: math.nan, TailSide.PLUS)

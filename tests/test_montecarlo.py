@@ -270,5 +270,17 @@ class TestGoldenSimReports:
         assert golden["coverage_no_rows"]["rows"] == []
 
 
+
+class TestNonFiniteThresholds:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sim_config_rejects(self, bad):
+        with pytest.raises(DomainError, match="eps grid must be finite"):
+            SimConfig(n=1, m=1, trials=1, seed=0, eps_grid=(0.5, bad))
+
+    def test_iid_coverage_rejects_before_simulating(self):
+        with pytest.raises(DomainError, match="eps grid must be finite"):
+            iid_coverage(10, 100, 0, (math.nan, math.inf), TailSide.TWO_SIDED)
+
+
 if __name__ == "__main__":
     record_sim_reports()
