@@ -143,7 +143,7 @@ class StepCdf:
         object.__setattr__(self, "values", padded[1:])
 
     @classmethod
-    def empirical(cls, values) -> "StepCdf":
+    def empirical(cls, values: np.ndarray) -> "StepCdf":
         """Empirical CDF of ``values``: jump (tie count)/n at each distinct value.
 
         The jump points are stored read-only, like the heights.

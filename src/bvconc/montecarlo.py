@@ -28,9 +28,8 @@ approximation).
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -170,7 +169,7 @@ class SimReport:
     notes: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        out = asdict(self)
         out["config"]["eps_grid"] = list(self.config.eps_grid)
         out["rows"] = list(out["rows"])
         out["info"] = dict(self.info)
