@@ -300,8 +300,10 @@ def _run_critical(ns: argparse.Namespace) -> dict:
 
 
 def _run_ks_one_sample(ns: argparse.Namespace) -> dict:
+    # built before the file is read, so a bad --ref-loc or --ref-scale is reported first
+    ref = _make_ref(ns)
     (sample,), notes = _ingest_clustered_files(ns.data)
-    outcome = one_sample_clustered(sample, _make_ref(ns), ns.side, ns.alpha, notes=notes)
+    outcome = one_sample_clustered(sample, ref, ns.side, ns.alpha, notes=notes)
     spec = sample.cluster_spec()
     return _ks_payload(
         outcome,

@@ -20,7 +20,9 @@ Three experiments:
   denominator growth unavoidable.
 
 Reproducibility contract: every trial draws from a counter-based Philox
-stream keyed by (seed, experiment stream, trial index).  Results are
+stream keyed by (seed, experiment stream, trial index).  The experiments
+draw their trials in bounded blocks, one row per trial, from those same
+per-trial streams, so the block size never changes a result.  Results are
 bitwise-identical for identical (config, seed), and binomial draws are
 inverted from the exact binomial CDF (never sampled by rejection or normal
 approximation).
@@ -37,7 +39,6 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import TailSide, denominator, one_sided_shift
-from .empirical import StepCdf, sup_distance_reference
 from .errors import DomainError
 
 __all__ = [
@@ -58,6 +59,11 @@ _STREAM_REFUTATION = 2
 _STREAM_COVERAGE = 3
 _STREAM_SHARPNESS = 4
 
+# A block of trials holds about this many bytes of uniforms.  Larger blocks
+# ran no faster: a 64 MB budget raised the benchmark's simulate peak RSS from
+# 82 to 87 MB.
+_BLOCK_BYTES = 1 << 20
+
 
 def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
     """Counter-based generator for one trial: key (seed, stream), counter block = trial.
@@ -68,6 +74,29 @@ def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, trial & _MASK64, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _trial_blocks(seed: int, stream: int, first: int, trials: int, width: int):
+    """Yield ``(start, block)`` covering trials ``first .. first + trials - 1``.
+
+    Row t of ``block`` is ``trial_rng(seed, stream, first + start + t).random(width)``
+    bit for bit.  One Philox serves every row: before each row its state is
+    reset to that trial's counter block with an empty buffer, which is what a
+    fresh ``trial_rng`` starts from.  A block holds at least one row.
+    """
+    bitgen = np.random.Philox(key=np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    # a copy of the fresh state: counter [0, 0, 0, 0], buffer_pos 4 (empty buffer)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    rows = max(1, _BLOCK_BYTES // (8 * width))
+    for start in range(0, trials, rows):
+        block = np.empty((min(rows, trials - start), width))
+        for t, row in enumerate(block, first + start):
+            counter[2] = t & _MASK64
+            bitgen.state = state
+            gen.random(out=row)
+        yield start, block
 
 
 def _check_seed(seed: int) -> int:
@@ -104,10 +133,13 @@ class BinomialHalf:
             return Fraction(1)
         return self._cdf_fractions[k]
 
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """Binomial draws from uniforms ``u`` (any shape) by inverting the exact CDF."""
+        return np.searchsorted(self._cdf, u, side="right")
+
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inversion sampling from the exact CDF."""
-        u = rng.random(size)
-        return np.searchsorted(self._cdf, u, side="right")
+        return self.invert(rng.random(size))
 
 
 @lru_cache(maxsize=32)
@@ -146,8 +178,7 @@ class SimRow:
     stderr, with sigmas the experiment's ``violation_sigmas`` (3 by
     default); all three experiments apply this one rule.  ``m`` and
     ``exact`` are filled by experiments that sweep grid sizes or can
-    enumerate the probability exactly.  The coverage experiment builds each
-    trial's ECDF with ``StepCdf.empirical``.
+    enumerate the probability exactly.
     """
 
     eps: float
@@ -243,10 +274,10 @@ def conjecture_refutation_experiment(
     rows = []
     for j, m in enumerate(m_list):
         hits = 0
-        for t in range(trials):
-            u = bh.draw(trial_rng(seed, _STREAM_REFUTATION, j * trials + t), m)
-            if u.min() <= lo_cut or u.max() >= hi_cut:
-                hits += 1
+        for _, block in _trial_blocks(seed, _STREAM_REFUTATION, j * trials, trials, m):
+            # inversion is nondecreasing, so it commutes with a row's min and max
+            lo, hi = bh.invert(block.min(axis=1)), bh.invert(block.max(axis=1))
+            hits += int(np.count_nonzero((lo <= lo_cut) | (hi >= hi_cut)))
         exact = float(1 - (1 - p_one) ** m)
         emp = hits / trials
         rows.append(_row(f"m={m}", eps, emp, naive, trials, violation_sigmas, m=m, exact=exact))
@@ -259,8 +290,26 @@ def conjecture_refutation_experiment(
     )
 
 
-def _uniform_cdf(r):
-    return np.clip(r, 0.0, 1.0)
+def _uniform_sup_distance(block: np.ndarray, side: TailSide) -> np.ndarray:
+    """Per row, ``sup_distance_reference`` of the row's ECDF from the uniform CDF, bit for bit.
+
+    Sorts ``block`` in place.  For sorted u_(1) <= ... <= u_(n) in [0, 1),
+    where the uniform CDF is the identity, D+ = max(i/n - u_(i)) and
+    D- = max(u_(i) - (i-1)/n), each floored at 0.  Without ties these are
+    the step-CDF path's float operations.  Ties need no other path: rounding
+    is monotone, so over a run of equal values the maximum falls on the
+    run's last i for D+ (the ECDF height) and its first i for D- (the left
+    limit), which are the terms the step-CDF path computes.
+    """
+    n = block.shape[1]
+    block.sort(axis=1)
+    plus = np.maximum((np.arange(1, n + 1) / n - block).max(axis=1), 0.0)
+    minus = np.maximum((block - np.arange(n) / n).max(axis=1), 0.0)
+    if side is TailSide.PLUS:
+        return plus
+    if side is TailSide.MINUS:
+        return minus
+    return np.maximum(plus, minus)
 
 
 def iid_coverage(
@@ -291,13 +340,10 @@ def iid_coverage(
     s_n = one_sided_shift(n)
     root_n = math.sqrt(n)
 
-    adjusted = np.empty(trials)
     raw = np.empty(trials)
-    for t in range(trials):
-        u = trial_rng(seed, _STREAM_COVERAGE, t).random(n)
-        d = sup_distance_reference(StepCdf.empirical(u), _uniform_cdf, side)
-        raw[t] = root_n * d
-        adjusted[t] = raw[t] / l_n if side.is_two_sided else raw[t] - s_n
+    for start, block in _trial_blocks(seed, _STREAM_COVERAGE, 0, trials, n):
+        raw[start : start + len(block)] = root_n * _uniform_sup_distance(block, side)
+    adjusted = raw / l_n if side.is_two_sided else raw - s_n
 
     rows = []
     for label, stats in (("adjusted", adjusted), ("raw", raw)):
@@ -344,6 +390,8 @@ def sharpness_experiment(
     _check_seed(seed)
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if m_cap < 1:
+        raise DomainError(f"m_cap must be >= 1, got {m_cap}")
 
     bh = _binomial_half(n)
     p_le_k = bh.cdf_fraction(k)
@@ -354,9 +402,9 @@ def sharpness_experiment(
         m_n = m_cap
 
     mins = np.empty(trials, dtype=int)
-    for t in range(trials):
-        u = bh.draw(trial_rng(seed, _STREAM_SHARPNESS, t), m_n)
-        mins[t] = int(u.min())
+    for start, block in _trial_blocks(seed, _STREAM_SHARPNESS, 0, trials, m_n):
+        # inversion is nondecreasing, so the row's smallest uniform gives its smallest draw
+        mins[start : start + len(block)] = bh.invert(block.min(axis=1))
 
     def row(label: str, eps: float, cut: int) -> SimRow:
         # the exact P(min_j U_j <= cut) is both the reference and the ``exact`` column

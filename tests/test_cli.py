@@ -688,5 +688,25 @@ class TestNonFiniteOptions:
         assert f"--ref-loc must be finite, got {float(loc)}" in captured.err
 
 
+class TestReferenceOptionsBeforeIngest:
+    """A bad ``--ref normal`` option is reported before the data file is read, like ``--alpha``."""
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--ref-scale=0", "--ref-scale must be positive, got 0.0"),
+            ("--ref-loc=nan", "--ref-loc must be finite, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("data", ["empty", "missing"])
+    def test_option_error_wins(self, tmp_path, capsys, option, message, data):
+        path = write(tmp_path, "empty.csv", "") if data == "empty" else str(tmp_path / "missing.csv")
+        code = main(["kstest", "one-sample", "--data", path, "--ref", "normal", option])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 if __name__ == "__main__":
     record_cli_matrix()

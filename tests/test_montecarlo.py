@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from bvconc import montecarlo
 from bvconc.bounds import TailSide
+from bvconc.empirical import StepCdf, sup_distance_reference
 from bvconc.errors import DomainError
 from bvconc.montecarlo import (
     BinomialHalf,
@@ -280,6 +282,96 @@ class TestNonFiniteThresholds:
     def test_iid_coverage_rejects_before_simulating(self):
         with pytest.raises(DomainError, match="eps grid must be finite"):
             iid_coverage(10, 100, 0, (math.nan, math.inf), TailSide.TWO_SIDED)
+
+
+class TestSharpnessCap:
+    @pytest.mark.parametrize("m_cap", [0, -3])
+    def test_rejects_cap_below_one(self, m_cap):
+        with pytest.raises(DomainError, match=f"m_cap must be >= 1, got {m_cap}"):
+            sharpness_experiment(16, 0.1, trials=10, seed=0, m_cap=m_cap)
+
+    def test_cap_of_one(self):
+        report = sharpness_experiment(16, 0.1, trials=10, seed=0, m_cap=1)
+        assert report.config.m == 1
+        assert report.notes
+
+
+# a budget of three 16-wide rows: width 1000 gets one row per block
+TINY_BLOCK_BYTES = 3 * 16 * 8
+
+
+class TestTrialBlocks:
+    """Row t of each block is the fresh ``trial_rng`` stream of trial first + start + t."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    # 14 is the refutation experiment's offset j * trials for j = 2, trials = 7
+    @pytest.mark.parametrize("first", [0, 14])
+    @pytest.mark.parametrize("width", [1, 16, 1000])
+    @pytest.mark.parametrize("budget", [TINY_BLOCK_BYTES, None])
+    def test_rows_match_trial_rng(self, monkeypatch, seed, first, width, budget):
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", budget)
+        trials = 7
+        blocks = list(montecarlo._trial_blocks(seed, 2, first, trials, width))
+        sizes = [len(block) for _, block in blocks]
+        assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert sum(sizes) == trials
+        for start, block in blocks:
+            assert block.shape[1] == width
+            for t, row in enumerate(block):
+                expected = trial_rng(seed, 2, first + start + t).random(width)
+                assert np.array_equal(row, expected)
+
+    def test_block_sizes(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+        sizes = lambda width: [len(b) for _, b in montecarlo._trial_blocks(0, 2, 0, 7, width)]
+        assert sizes(16) == [3, 3, 1]
+        assert sizes(1000) == [1] * 7
+        assert sizes(1) == [7]
+
+
+BLOCK_SIZE_CASES = {
+    "coverage_two_sided": lambda: iid_coverage(30, 250, 11, (0.25, 0.5, 1.0), TailSide.TWO_SIDED),
+    "coverage_plus": lambda: iid_coverage(30, 250, 11, (0.0, 0.5), TailSide.PLUS),
+    "coverage_minus": lambda: iid_coverage(30, 250, 11, (0.0, 0.5), TailSide.MINUS),
+    "grid": lambda: conjecture_refutation_experiment(16, [1, 16, 40], 0.25, 60, 11),
+    "sharpness": lambda: sharpness_experiment(16, 0.25, 90, 11),
+    "sharpness_truncated": lambda: sharpness_experiment(16, 0.1, 40, 11, m_cap=50),
+}
+
+
+class TestBlockSizeInvariance:
+    @pytest.mark.parametrize("case_id", list(BLOCK_SIZE_CASES))
+    def test_tiny_blocks_give_the_same_report(self, monkeypatch, case_id):
+        default = BLOCK_SIZE_CASES[case_id]().to_dict()
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+        assert BLOCK_SIZE_CASES[case_id]().to_dict() == default
+
+
+class TestUniformSupDistance:
+    """The batched coverage statistic against the per-trial step-CDF path."""
+
+    @staticmethod
+    def reference(row, side):
+        uniform_cdf = lambda r: np.clip(r, 0.0, 1.0)
+        return sup_distance_reference(StepCdf.empirical(row), uniform_cdf, side)
+
+    @pytest.mark.parametrize("side", list(TailSide))
+    @pytest.mark.parametrize("n, grid", [(12, 8), (7, 3), (100, 10)])
+    def test_tied_rows(self, side, n, grid):
+        # n values on a 1/grid grid: every row has ties, many include 0.0
+        rng = np.random.default_rng(5)
+        block = rng.integers(0, grid, size=(200, n)) / grid
+        expected = [self.reference(row, side) for row in block]
+        got = montecarlo._uniform_sup_distance(block.copy(), side)
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("side", list(TailSide))
+    def test_distinct_rows(self, side):
+        block = np.vstack([trial_rng(3, 3, t).random(25) for t in range(200)])
+        expected = [self.reference(row, side) for row in block]
+        got = montecarlo._uniform_sup_distance(block.copy(), side)
+        assert got.tolist() == expected
 
 
 if __name__ == "__main__":
