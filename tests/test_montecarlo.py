@@ -374,5 +374,43 @@ class TestUniformSupDistance:
         assert got.tolist() == expected
 
 
+# Coverage reports whose threshold grid starts at zero (signed zeros included),
+# recorded in tests/golden/sim_reports_zero_eps.json.  They pin the rows where
+# the adjusted one-sided statistic sits at or below zero on many trials.
+ZERO_EPS_CASES = {
+    "coverage_minus_zero": lambda: iid_coverage(25, 200, 3, (-0.0, 0.0, 0.25, 1.0), TailSide.MINUS),
+    "coverage_two_sided_zero": lambda: iid_coverage(
+        40, 300, 5, (-0.0, 0.0, 0.5, 1.0), TailSide.TWO_SIDED
+    ),
+}
+
+ZERO_EPS_GOLDEN = Path(__file__).parent / "golden" / "sim_reports_zero_eps.json"
+
+
+def record_zero_eps_reports() -> None:
+    reports = {case_id: make().to_dict() for case_id, make in ZERO_EPS_CASES.items()}
+    ZERO_EPS_GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+class TestGoldenZeroEpsReports:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(ZERO_EPS_GOLDEN.read_text(encoding="utf-8"))
+
+    def test_case_ids_match_golden(self, golden):
+        assert sorted(golden) == sorted(ZERO_EPS_CASES)
+
+    @pytest.mark.parametrize("case_id", list(ZERO_EPS_CASES))
+    def test_report(self, case_id, golden):
+        got = ZERO_EPS_CASES[case_id]().to_dict()
+        assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(golden[case_id], sort_keys=True, indent=2)
+        assert got == golden[case_id]
+
+    def test_golden_has_signed_zero_thresholds(self, golden):
+        for report in golden.values():
+            assert [math.copysign(1.0, e) for e in report["config"]["eps_grid"][:2]] == [-1.0, 1.0]
+
+
 if __name__ == "__main__":
     record_sim_reports()
+    record_zero_eps_reports()
