@@ -3,8 +3,9 @@ for randomized functions of uniformly bounded variation.
 
 The public API re-exports the library surface of each submodule:
 
-* :mod:`bvconc.bounds` — residual/denominator/shift closed forms, tail
-  bounds, critical values, exponential-family entropy minimization;
+* :mod:`bvconc.bounds` — residual/denominator/shift closed forms, one- and
+  two-sample tail bounds and critical values, exponential-family entropy
+  minimization;
 * :mod:`bvconc.coefficients` — McDiarmid and downward-variation coefficients,
   cluster effective sample sizes;
 * :mod:`bvconc.empirical` — step CDFs, exact sup distances, Lipschitz panels;
@@ -25,6 +26,9 @@ from .bounds import (
     residual_star,
     tail_bound,
     tail_bound_raw,
+    threshold,
+    two_sample_critical,
+    two_sample_tail_bound,
 )
 from .coefficients import (
     ClusterSpec,
@@ -63,7 +67,6 @@ from .kstests import (
     lipschitz_two_sample,
     one_sample_clustered,
     two_sample_clustered,
-    two_sample_tail_bound,
 )
 from .montecarlo import (
     SimConfig,

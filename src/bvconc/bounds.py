@@ -18,6 +18,19 @@ EF.  With D the sup statistic over the parameter set:
 * two-sided:  Pr{ sqrt(c)/L(x) * sup|F - EF| > eps }    <= 2*exp(-2*eps^2)
 * one-sided:  Pr{ sqrt(c)*sup(F - EF)^± - S(x) > eps }  <=   exp(-2*eps^2)
 
+``threshold`` maps a sup statistic to that eps, ``tail_bound`` maps eps to
+the bound, and ``critical_statistic`` inverts the pair at a level alpha.
+
+Two-sample tests of a common mean function use the product form
+
+    p(eps) = 1 - prod_side max(0, 1 - inner_tail(eps/2))
+
+obtained by splitting the deviation between the two samples and multiplying
+the independent per-sample guarantees (``two_sample_tail_bound``, inverted
+by ``two_sample_critical``).  One-sided two-sample tests subtract the full
+one-sided centering sqrt(ln v) + R*(v) of each sample's effective size v,
+in both directions.
+
 ``entropy_exact_expfamily`` computes the tighter constant obtained by
 minimizing the underlying entropy objective over the exponential family
 H_p(y) = exp(p*y) - 1 instead of taking the closed-form envelope L(x).  The
@@ -33,6 +46,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, VacuousBoundError
 
@@ -44,9 +60,12 @@ __all__ = [
     "residual_star",
     "denominator",
     "one_sided_shift",
+    "threshold",
     "tail_bound",
     "tail_bound_raw",
     "critical_statistic",
+    "two_sample_tail_bound",
+    "two_sample_critical",
     "entropy_exact_expfamily",
 ]
 
@@ -132,6 +151,18 @@ def one_sided_shift(x: float) -> float:
     return math.sqrt(math.log(x)) + residual_star(x)
 
 
+def threshold(params: BoundParams, side: TailSide, stat):
+    """The threshold eps that a sup statistic (a float or an array) reaches.
+
+    Two-sided sqrt(c) * stat / L(c*d); one-sided sqrt(c) * stat - S(c*d),
+    floored at 0.  ``tail_bound(params, side, threshold(params, side, stat))``
+    is the p-value upper bound of ``stat``.
+    """
+    if side.is_two_sided:
+        return math.sqrt(params.c) * stat / denominator(params.product)
+    return np.maximum(math.sqrt(params.c) * stat - one_sided_shift(params.product), 0.0)
+
+
 def tail_bound_raw(params: BoundParams, side: TailSide, eps: float) -> float:
     """Uncapped tail bound at threshold ``eps`` (may exceed 1; diagnostics only).
 
@@ -163,6 +194,60 @@ def critical_statistic(params: BoundParams, side: TailSide, alpha: float) -> flo
     if side.is_two_sided:
         return math.sqrt(math.log(2.0 / alpha) / 2.0) * denominator(x) / root_c
     return (math.sqrt(math.log(1.0 / alpha) / 2.0) + one_sided_shift(x)) / root_c
+
+
+def two_sample_tail_bound(nu: float, xi: float, side: TailSide, eps: float) -> float:
+    """Probability bound for a sup deviation > eps between two independent samples.
+
+    ``nu`` and ``xi`` are the effective sample sizes of the two samples (both
+    must exceed 1).  Two-sided, each sample contributes a floored factor
+    1 - 2*exp(-(v/2)*(eps/L(v))^2); one-sided, each contributes
+    1 - exp(-2*max(0, sqrt(v)*eps/2 - S(v))^2).  The bound is one minus the
+    product, always within [0, 1].
+    """
+    if nu <= 1.0 or xi <= 1.0:
+        raise VacuousBoundError(
+            f"both effective sample sizes must exceed 1, got {nu} and {xi}"
+        )
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise DomainError(f"eps must be a finite real >= 0, got {eps}")
+    if side.is_two_sided:
+
+        def factor(v: float) -> float:
+            inner = 2.0 * math.exp(-0.5 * v * (eps / denominator(v)) ** 2)
+            return max(0.0, 1.0 - inner)
+
+    else:
+
+        def factor(v: float) -> float:
+            shifted = max(0.0, math.sqrt(v) * eps / 2.0 - one_sided_shift(v))
+            return 1.0 - math.exp(-2.0 * shifted * shifted)
+
+    return 1.0 - factor(nu) * factor(xi)
+
+
+def two_sample_critical(nu: float, xi: float, side: TailSide, alpha: float) -> float:
+    """Smallest eps with ``two_sample_tail_bound(nu, xi, side, eps) <= alpha``.
+
+    The bound is continuous and nonincreasing in eps: bracket by doubling from
+    1, then bisect to a relative width of 1e-14 and return the midpoint.
+    """
+    bound = partial(two_sample_tail_bound, nu, xi, side)
+    hi = 1.0
+    for _ in range(200):
+        if bound(hi) <= alpha:
+            break
+        hi *= 2.0
+    else:
+        raise DomainError(f"could not bracket the critical statistic for alpha={alpha}")
+    lo = 0.0
+    while hi - lo > 1e-14 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if bound(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

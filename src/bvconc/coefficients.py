@@ -24,6 +24,7 @@ All operations are pure and thread-safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -76,12 +77,16 @@ class ClusterSpec:
     sizes: tuple[int, ...]
 
     def __init__(self, sizes: Sequence[int]) -> None:
-        object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
-        if not self.sizes:
+        try:
+            # one pass in C: ints and numpy ints pass, floats (nan, inf, 1.5) and strings raise
+            sizes = tuple(map(operator.index, sizes))
+        except TypeError as exc:
+            raise DomainError(f"cluster sizes must be integers: {exc}") from None
+        if not sizes:
             raise DomainError("cluster size list must be nonempty")
-        for s in self.sizes:
-            if s < 1:
-                raise DomainError(f"cluster sizes must be >= 1, got {s}")
+        if min(sizes) < 1:
+            raise DomainError(f"cluster sizes must be >= 1, got {min(sizes)}")
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def k(self) -> int:

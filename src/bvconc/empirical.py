@@ -79,7 +79,10 @@ class ClusteredSample:
             bad = float(values[np.argmin(finite)])
             raise DomainError(f"observation values must be finite, got {bad}")
         # first-appearance order keeps the size list deterministic under relabeling
-        index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+        try:
+            index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+        except TypeError as exc:
+            raise DomainError(f"cluster labels must be hashable: {exc}") from None
         codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=values.size)
         for array in (values, codes):
             array.setflags(write=False)

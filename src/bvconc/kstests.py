@@ -5,16 +5,8 @@ Each test combines three ingredients: an exact sup statistic from
 and the closed-form tails from :mod:`bvconc.bounds`.  The reported
 ``p_upper`` is an upper bound on the p-value, valid for any data
 distribution and any sample size; it is conservative by construction, never
-an approximation.
-
-Two-sample tests of a common mean function use the product form
-
-    p(eps) = 1 - prod_side max(0, 1 - inner_tail(eps/2))
-
-obtained by splitting the deviation between the two samples and multiplying
-the independent per-sample guarantees.  One-sided two-sample tests subtract
-the full one-sided centering sqrt(ln v) + R*(v) of each sample's effective
-size v, in both directions.
+an approximation.  Every step from a statistic to a p-value bound or a
+critical value is a :mod:`bvconc.bounds` function.
 
 Vacuous configurations (effective size <= 1) raise
 :class:`~bvconc.errors.VacuousBoundError`; a bound that merely evaluates to 1
@@ -31,9 +23,10 @@ from .bounds import (
     BoundParams,
     TailSide,
     critical_statistic,
-    denominator,
-    one_sided_shift,
     tail_bound_raw,
+    threshold,
+    two_sample_critical,
+    two_sample_tail_bound,
 )
 from .coefficients import FiniteTheta, RangeSpec, downward_variation, lipschitz_difference_params
 from .empirical import (
@@ -96,16 +89,9 @@ def _single_pair_outcome(
 ) -> KsOutcome:
     """Outcome of a statistic under one coefficient pair: closed-form bound and critical values.
 
-    The statistic is standardised to the threshold of :func:`bounds.tail_bound_raw`;
     ``fields`` sets the remaining :class:`KsOutcome` fields (``notes`` and the like).
     """
-    x = params.product
-    root_c = math.sqrt(params.c)
-    if side.is_two_sided:
-        eps = root_c * stat / denominator(x)
-    else:
-        eps = max(0.0, root_c * stat - one_sided_shift(x))
-    raw = tail_bound_raw(params, side, eps)
+    raw = tail_bound_raw(params, side, threshold(params, side, stat))
     return KsOutcome(
         statistic=stat,
         side=side,
@@ -138,7 +124,6 @@ def one_sample_clustered(
     ref_cdf: Callable,
     side: TailSide,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    extra_ref_points: Sequence[float] = (),
     notes: Sequence[str] = (),
 ) -> KsOutcome:
     """Test whether clustered data follows a given continuous reference CDF.
@@ -150,57 +135,8 @@ def one_sample_clustered(
     alphas = _validate_alphas(alphas)
     nu = _effective_size(sample, "sample")
     params = BoundParams(c=nu, d=1.0)
-    stat = sup_distance_reference(ecdf(sample), ref_cdf, side, extra_ref_points)
+    stat = sup_distance_reference(ecdf(sample), ref_cdf, side)
     return _single_pair_outcome(params, side, stat, alphas, notes=tuple(notes))
-
-
-def two_sample_tail_bound(nu: float, xi: float, side: TailSide, eps: float) -> float:
-    """Probability bound for a sup deviation > eps between two independent samples.
-
-    ``nu`` and ``xi`` are the effective sample sizes of the two samples (both
-    must exceed 1).  Two-sided, each sample contributes a floored factor
-    1 - 2*exp(-(v/2)*(eps/L(v))^2); one-sided, each contributes
-    1 - exp(-2*max(0, sqrt(v)*eps/2 - S(v))^2).  The bound is one minus the
-    product, always within [0, 1].
-    """
-    if nu <= 1.0 or xi <= 1.0:
-        raise VacuousBoundError(
-            f"both effective sample sizes must exceed 1, got {nu} and {xi}"
-        )
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"eps must be a finite real >= 0, got {eps}")
-    if side.is_two_sided:
-
-        def factor(v: float) -> float:
-            inner = 2.0 * math.exp(-0.5 * v * (eps / denominator(v)) ** 2)
-            return max(0.0, 1.0 - inner)
-
-    else:
-
-        def factor(v: float) -> float:
-            shifted = max(0.0, math.sqrt(v) * eps / 2.0 - one_sided_shift(v))
-            return 1.0 - math.exp(-2.0 * shifted * shifted)
-
-    return 1.0 - factor(nu) * factor(xi)
-
-
-def _invert_nonincreasing(bound: Callable[[float], float], alpha: float) -> float:
-    """Smallest eps with bound(eps) <= alpha, for a continuous nonincreasing bound."""
-    hi = 1.0
-    for _ in range(200):
-        if bound(hi) <= alpha:
-            break
-        hi *= 2.0
-    else:
-        raise DomainError(f"could not bracket the critical statistic for alpha={alpha}")
-    lo = 0.0
-    while hi - lo > 1e-14 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if bound(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def two_sample_clustered(
@@ -216,17 +152,13 @@ def two_sample_clustered(
     xi = _effective_size(sample_g, "second sample")
     stat = sup_distance_two_sample(ecdf(sample_f), ecdf(sample_g), side)
     p_upper = two_sample_tail_bound(nu, xi, side, stat)
-    critical = {
-        a: _invert_nonincreasing(lambda e: two_sample_tail_bound(nu, xi, side, e), a)
-        for a in alphas
-    }
     return KsOutcome(
         statistic=stat,
         side=side,
         params=(BoundParams(c=nu, d=1.0), BoundParams(c=xi, d=1.0)),
         p_upper=p_upper,
         p_upper_raw=p_upper,
-        critical_at=critical,
+        critical_at={a: two_sample_critical(nu, xi, side, a) for a in alphas},
         notes=tuple(notes),
     )
 
@@ -288,6 +220,13 @@ def finite_theta_test(
         raise DomainError("need at least one (observed, expected) pair")
     if len(stats) != len(ranges):
         raise DomainError(f"{len(stats)} statistics but {len(ranges)} ranges")
+    for i, (obs, exp) in enumerate(stats):
+        # max() below keeps its running maximum past a nan, so check each difference here
+        if not math.isfinite(obs - exp):
+            raise DomainError(
+                f"statistic pair {i} (observed {obs}, expected {exp}) must be finite"
+                " with a finite difference"
+            )
     if not (math.isfinite(c) and c > 0.0):
         raise DomainError(f"McDiarmid coefficient must be positive, got {c}")
     d_coeff = downward_variation(FiniteTheta(ranges))

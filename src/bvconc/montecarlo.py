@@ -16,8 +16,8 @@ Three experiments:
 
 * ``sharpness_experiment`` sizes the grid as m_n = ceil(1 / P(Bin(n,1/2) <= k))
   so that the smallest column count dips below k with probability about
-  1 - 1/e, exhibiting the lower-bound behavior that makes the sqrt(log_4)
-  denominator growth unavoidable.
+  1 - 1/e, exhibiting the lower-bound behavior that makes the sqrt(log_4 n)
+  growth of L(n) unavoidable.
 
 Reproducibility contract: every trial draws from a counter-based Philox
 stream keyed by (seed, experiment stream, trial index).  The experiments
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import TailSide, denominator, one_sided_shift
+from .bounds import BoundParams, TailSide, tail_bound, threshold
 from .errors import DomainError
 
 __all__ = [
@@ -174,9 +174,8 @@ class SimRow:
     """One threshold: empirical tail frequency against its theoretical reference.
 
     ``stderr`` is the binomial standard error sqrt(p(1-p)/trials) of the
-    empirical frequency p.  ``violation`` is set when p > bound + sigmas *
-    stderr, with sigmas the experiment's ``violation_sigmas`` (3 by
-    default); all three experiments apply this one rule.  ``m`` and
+    empirical frequency p.  ``violation`` is set when p > bound + 3 * stderr;
+    all three experiments apply this one rule.  ``m`` and
     ``exact`` are filled by experiments that sweep grid sizes or can
     enumerate the probability exactly.
     """
@@ -208,12 +207,10 @@ class SimReport:
         return out
 
 
-def _row(
-    label: str, eps: float, emp: float, bound: float, trials: int, sigmas: float, **extra
-) -> SimRow:
-    """A report row, flagged when ``emp`` exceeds ``bound`` by more than ``sigmas`` stderrs."""
+def _row(label: str, eps: float, emp: float, bound: float, trials: int, **extra) -> SimRow:
+    """A report row, flagged when ``emp`` exceeds ``bound`` by more than 3 stderrs."""
     se = math.sqrt(emp * (1.0 - emp) / trials)
-    violation = emp > bound + sigmas * se
+    violation = emp > bound + 3.0 * se
     return SimRow(
         eps=eps, empirical=emp, bound=bound, stderr=se, violation=violation, label=label, **extra
     )
@@ -240,13 +237,7 @@ def _strict_lower_cut(threshold: Fraction) -> int:
 
 
 def conjecture_refutation_experiment(
-    n: int,
-    m_list: Sequence[int],
-    eps: float,
-    trials: int,
-    seed: int,
-    *,
-    violation_sigmas: float = 3.0,
+    n: int, m_list: Sequence[int], eps: float, trials: int, seed: int
 ) -> SimReport:
     """Exceedance of max_j |U_j/n - 1/2| > eps as the number of columns m grows.
 
@@ -280,7 +271,7 @@ def conjecture_refutation_experiment(
             hits += int(np.count_nonzero((lo <= lo_cut) | (hi >= hi_cut)))
         exact = float(1 - (1 - p_one) ** m)
         emp = hits / trials
-        rows.append(_row(f"m={m}", eps, emp, naive, trials, violation_sigmas, m=m, exact=exact))
+        rows.append(_row(f"m={m}", eps, emp, naive, trials, m=m, exact=exact))
     config = SimConfig(n=n, m=max(m_list), trials=trials, seed=seed, eps_grid=(eps,))
     return SimReport(
         config=config,
@@ -313,13 +304,7 @@ def _uniform_sup_distance(block: np.ndarray, side: TailSide) -> np.ndarray:
 
 
 def iid_coverage(
-    n: int,
-    trials: int,
-    seed: int,
-    eps_grid: Sequence[float],
-    side: TailSide,
-    *,
-    violation_sigmas: float = 3.0,
+    n: int, trials: int, seed: int, eps_grid: Sequence[float], side: TailSide
 ) -> SimReport:
     """Empirical tail of the bounded sup statistic for iid uniform data.
 
@@ -335,22 +320,16 @@ def iid_coverage(
         raise DomainError(f"need at least 100 trials for stable frequencies, got {trials}")
     config = SimConfig(n=n, m=1, trials=trials, seed=seed, eps_grid=tuple(eps_grid))
 
-    scale = 2.0 if side.is_two_sided else 1.0
-    l_n = denominator(n)
-    s_n = one_sided_shift(n)
-    root_n = math.sqrt(n)
-
-    raw = np.empty(trials)
+    sup = np.empty(trials)
     for start, block in _trial_blocks(seed, _STREAM_COVERAGE, 0, trials, n):
-        raw[start : start + len(block)] = root_n * _uniform_sup_distance(block, side)
-    adjusted = raw / l_n if side.is_two_sided else raw - s_n
+        sup[start : start + len(block)] = _uniform_sup_distance(block, side)
+    params = BoundParams(c=n, d=1.0)
 
     rows = []
-    for label, stats in (("adjusted", adjusted), ("raw", raw)):
+    for label, stats in (("adjusted", threshold(params, side, sup)), ("raw", math.sqrt(n) * sup)):
         for eps in config.eps_grid:
-            bound = min(1.0, scale * math.exp(-2.0 * eps * eps))
             emp = float(np.mean(stats > eps))
-            rows.append(_row(label, eps, emp, bound, trials, violation_sigmas))
+            rows.append(_row(label, eps, emp, tail_bound(params, side, eps), trials))
     if side.is_two_sided:
         statistic = "sqrt(n) * sup|F - U| / L(n)  [raw rows: sqrt(n) * sup|F - U|]"
     else:
@@ -367,7 +346,6 @@ def sharpness_experiment(
     trials: int,
     seed: int,
     *,
-    violation_sigmas: float = 3.0,
     m_cap: int = 10**7,
 ) -> SimReport:
     """Fixed-n slice of the lower-bound construction.
@@ -410,7 +388,7 @@ def sharpness_experiment(
         # the exact P(min_j U_j <= cut) is both the reference and the ``exact`` column
         exact = 0.0 if cut < 0 else float(1 - (1 - bh.cdf_fraction(cut)) ** m_n)
         emp = float(np.mean(mins <= cut))
-        return _row(label, eps, emp, exact, trials, violation_sigmas, m=m_n, exact=exact)
+        return _row(label, eps, emp, exact, trials, m=m_n, exact=exact)
 
     root_n = math.sqrt(n)
     rows = [row("min_le_k", float(k), k)]

@@ -19,6 +19,7 @@ from bvconc.bounds import (
     residual_star,
     tail_bound,
     tail_bound_raw,
+    threshold,
 )
 from bvconc.errors import DomainError, VacuousBoundError
 
@@ -220,3 +221,49 @@ class TestEntropy:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             entropy_exact_expfamily(1.0)
+
+
+class TestThreshold:
+    """``threshold`` on floats and on arrays, against the closed form written out inline."""
+
+    STATS = [0.0, 1e-3, 0.05, 0.2, 0.7, 1.0, 3.5]
+    PARAMS = [(3.0, 1.0), (25.0, 1.0), (400.0, 2.25), (1e6, 7.0)]
+
+    @staticmethod
+    def inline(params, side, stat):
+        # reference: two-sided sqrt(c) * stat / L(x), one-sided max(0, sqrt(c) * stat - S(x))
+        root_c = math.sqrt(params.c)
+        if side.is_two_sided:
+            return root_c * stat / denominator(params.product)
+        return max(0.0, root_c * stat - one_sided_shift(params.product))
+
+    @pytest.mark.parametrize("side", list(TailSide))
+    @pytest.mark.parametrize("c, d", PARAMS)
+    def test_float_equals_array_element_and_inline_form(self, side, c, d):
+        params = BoundParams(c=c, d=d)
+        arr = threshold(params, side, np.array(self.STATS))
+        for i, stat in enumerate(self.STATS):
+            eps = threshold(params, side, stat)
+            assert eps == arr[i] == self.inline(params, side, stat)
+
+    @given(
+        st.floats(min_value=1.01, max_value=1e9),
+        st.floats(min_value=0.0, max_value=10.0),
+        st.sampled_from(list(TailSide)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, c, stat, side):
+        params = BoundParams(c=c, d=1.0)
+        eps = threshold(params, side, stat)
+        assert eps == threshold(params, side, np.array([stat]))[0]
+        assert eps == self.inline(params, side, stat)
+        assert eps >= 0.0
+
+    @pytest.mark.parametrize("side", [TailSide.PLUS, TailSide.MINUS])
+    def test_statistic_below_shift_gives_zero(self, side):
+        params = BoundParams(c=100.0, d=1.0)
+        below = 0.5 * one_sided_shift(100.0) / math.sqrt(100.0)
+        assert math.sqrt(100.0) * below - one_sided_shift(100.0) < 0.0
+        assert threshold(params, side, below) == 0.0
+        assert threshold(params, side, np.array([0.0, below])).tolist() == [0.0, 0.0]
+        assert tail_bound(params, side, threshold(params, side, below)) == 1.0

@@ -1,5 +1,7 @@
 """Coefficient formulas, the effective-sample-size identity, and fuzzed invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,3 +171,20 @@ class TestLipschitzDifferenceParams:
             lipschitz_difference_params(4, -1.0)
         with pytest.raises(DomainError):
             lipschitz_difference_params(4, grid_size=0)
+
+
+class TestClusterSpecSizeTypes:
+    @pytest.mark.parametrize(
+        "sizes", [[1.5, 2], ["3"], [2, math.nan], [math.inf], [np.float64(3.0)], [2, None]]
+    )
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(DomainError, match="cluster sizes must be integers"):
+            ClusterSpec(sizes)
+
+    def test_accepts_python_and_numpy_integers(self):
+        counts = np.bincount(np.array([0, 0, 1, 2, 2, 2]))
+        for sizes in (counts, counts.tolist(), list(counts), counts.astype(np.int32)):
+            spec = ClusterSpec(sizes)
+            assert spec.sizes == (2, 1, 3)
+            assert all(type(s) is int for s in spec.sizes)
+            assert spec == ClusterSpec([2, 1, 3])

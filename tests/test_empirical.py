@@ -385,3 +385,10 @@ class TestReferenceRangeCheck:
         f = ecdf(ClusteredSample.iid([0.2, 0.8]))
         with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
             sup_distance_reference(f, lambda r: math.nan, TailSide.PLUS)
+
+
+class TestUnhashableLabels:
+    @pytest.mark.parametrize("labels", [[[1], [2]], [{"a": 1}, {"a": 1}], [1, [2]]])
+    def test_rejects_unhashable_labels(self, labels):
+        with pytest.raises(DomainError, match="cluster labels must be hashable"):
+            ClusteredSample(values=[0.1, 0.2], cluster_ids=labels)

@@ -1,15 +1,19 @@
 """Composition of statistics, coefficients, and tails into test outcomes."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from bvconc.bounds import BoundParams, TailSide, denominator, one_sided_shift
+import bvconc
+from bvconc import bounds, kstests
+from bvconc.bounds import BoundParams, TailSide, denominator, one_sided_shift, two_sample_critical
 from bvconc.coefficients import RangeSpec
 from bvconc.empirical import ClusteredSample, TrajectoryPanel, lipschitz_sup_interval
 from bvconc.errors import DomainError, VacuousBoundError
 from bvconc.kstests import (
+    DEFAULT_ALPHAS,
     finite_theta_test,
     lipschitz_two_sample,
     one_sample_clustered,
@@ -308,3 +312,63 @@ class TestMonotonicityInStatistic:
         ]
         assert all(b <= a for a, b in zip(ps, ps[1:]))
         del params
+
+
+class TestBoundsHome:
+    """Two-sample bounds and critical values live in :mod:`bvconc.bounds`."""
+
+    def test_two_sample_tail_bound_is_one_object(self):
+        assert kstests.two_sample_tail_bound is bounds.two_sample_tail_bound
+        assert bvconc.two_sample_tail_bound is bounds.two_sample_tail_bound
+
+    @pytest.mark.parametrize("side", list(TailSide))
+    def test_critical_values_come_from_two_sample_critical(self, side):
+        rng = np.random.default_rng(17)
+        f = ClusteredSample.iid(rng.random(60))
+        g = ClusteredSample.iid(rng.random(45) + 0.1)
+        alphas = (0.001, *DEFAULT_ALPHAS)
+        out = two_sample_clustered(f, g, side, alphas)
+        nu, xi = (p.c for p in out.params)
+        assert dict(out.critical_at) == {a: two_sample_critical(nu, xi, side, a) for a in alphas}
+
+    @staticmethod
+    def generic_bisection(bound, alpha):
+        # reference: bracket by doubling, then bisect any nonincreasing callable
+        hi = 1.0
+        while bound(hi) > alpha:
+            hi *= 2.0
+        lo = 0.0
+        while hi - lo > 1e-14 * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if bound(mid) > alpha:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def test_same_bits_as_the_generic_bisection(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            nu, xi = (float(v) for v in rng.uniform(1.5, 5000.0, size=2))
+            alpha = float(rng.uniform(1e-6, 0.5))
+            for side in TailSide:
+                bound = partial(two_sample_tail_bound, nu, xi, side)
+                expected = self.generic_bisection(bound, alpha)
+                assert two_sample_critical(nu, xi, side, alpha) == expected
+
+
+class TestFiniteThetaNonFinite:
+    @pytest.mark.parametrize(
+        "stats, pair",
+        [
+            ([(1.0, 0.5), (math.nan, 0.0)], 1),
+            ([(math.nan, 0.0), (1.0, 0.5)], 0),
+            ([(0.2, 0.1), (0.3, math.nan)], 1),
+            ([(math.inf, 0.0), (1.0, 0.5)], 0),
+            ([(1.0, 0.5), (0.0, -math.inf)], 1),
+            ([(math.inf, math.inf), (1.0, 0.5)], 0),
+        ],
+    )
+    def test_rejects_and_names_the_pair(self, stats, pair):
+        with pytest.raises(DomainError, match=f"statistic pair {pair} "):
+            finite_theta_test(stats, [RangeSpec(0, 1)] * 2, c=400.0)
