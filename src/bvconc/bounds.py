@@ -46,7 +46,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -232,10 +231,11 @@ def two_sample_critical(nu: float, xi: float, side: TailSide, alpha: float) -> f
     The bound is continuous and nonincreasing in eps: bracket by doubling from
     1, then bisect to a relative width of 1e-14 and return the midpoint.
     """
-    bound = partial(two_sample_tail_bound, nu, xi, side)
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     hi = 1.0
     for _ in range(200):
-        if bound(hi) <= alpha:
+        if two_sample_tail_bound(nu, xi, side, hi) <= alpha:
             break
         hi *= 2.0
     else:
@@ -243,7 +243,7 @@ def two_sample_critical(nu: float, xi: float, side: TailSide, alpha: float) -> f
     lo = 0.0
     while hi - lo > 1e-14 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if bound(mid) > alpha:
+        if two_sample_tail_bound(nu, xi, side, mid) > alpha:
             lo = mid
         else:
             hi = mid

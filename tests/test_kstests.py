@@ -357,6 +357,12 @@ class TestBoundsHome:
                 assert two_sample_critical(nu, xi, side, alpha) == expected
 
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+    def test_two_sample_critical_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(DomainError, match="alpha must lie in the open interval"):
+            two_sample_critical(50.0, 40.0, TailSide.TWO_SIDED, alpha)
+
+
 class TestFiniteThetaNonFinite:
     @pytest.mark.parametrize(
         "stats, pair",
