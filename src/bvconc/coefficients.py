@@ -69,8 +69,10 @@ class RangeSpec:
 class ClusterSpec:
     """Deterministic, known cluster sizes of a block-independent sample.
 
-    Zero-size clusters are rejected rather than dropped: dropping one
-    silently would change the cluster count and with it every statistic.
+    Sizes must be Python or numpy integers; a float (even 2.0) or a string
+    is rejected rather than truncated or parsed.  Zero-size clusters are
+    rejected rather than dropped: dropping one silently would change the
+    cluster count and with it every statistic.
     ``n``, ``a_n``, ``s2_n`` and ``nu_n`` are computed on first read and kept.
     """
 
