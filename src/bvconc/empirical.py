@@ -12,9 +12,12 @@ on a finite candidate set:
   positive part right at each jump (the step is largest there, the reference
   keeps growing) and the negative part as the left limit into each jump.
 
-So the "sup over the reals" is computed exactly, with no grid and no jitter;
-ties across samples are handled by evaluating at-and-before every shared
-point.
+So the "sup over the reals" is computed exactly, with no grid and no jitter.
+Neither statistic searches a step function for its own jump points: there
+its value is the stored height and its left limit the height before.  So
+the two-sample union is never merged.  The difference is taken at each
+CDF's own jumps, with the other CDF evaluated there; a point shared by both
+samples gives the same difference from either side.
 
 For trajectories only observed on a time grid the sup cannot be attained, so
 ``lipschitz_sup_interval`` returns a certified enclosure instead: the grid
@@ -72,8 +75,14 @@ class ClusteredSample:
             raise DomainError(f"values must be a 1-d sequence, got shape {values.shape}")
         if not values.size:
             raise DomainError("sample must be nonempty")
-        if values.size != len(labels):
-            raise DomainError(f"{values.size} values but {len(labels)} cluster labels")
+        try:
+            n_labels = len(labels)
+        except TypeError:
+            raise DomainError(
+                f"cluster_ids must be a sequence of labels, got {type(labels).__name__}"
+            ) from None
+        if values.size != n_labels:
+            raise DomainError(f"{values.size} values but {n_labels} cluster labels")
         finite = np.isfinite(values)
         if not finite.all():
             bad = float(values[np.argmin(finite)])
@@ -139,8 +148,11 @@ class StepCdf:
             raise DomainError("step values must be nondecreasing")
         if vals[0] < 0 or abs(vals[-1] - 1.0) > 1e-12:
             raise DomainError("step values must rise from >= 0 to exactly 1")
-        # the heights are stored once, as a read-only view behind the leading 0
+        # the heights are stored once, as a read-only view behind the leading 0;
+        # adding 0.0 stores a -0.0 height as 0.0, so a zero difference of two step
+        # CDFs is always +0.0 and no sign of zero rests on numpy's reduction order
         padded = np.concatenate(([0.0], vals))
+        padded += 0.0
         padded.setflags(write=False)
         object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "values", padded[1:])
@@ -191,12 +203,15 @@ def sup_distance_two_sample(f: StepCdf, g: StepCdf, side: TailSide) -> float:
 
     F - G is piecewise constant with breakpoints at the union of the jump
     points and value 0 outside the pooled data range, so the max over the
-    union points (together with the floor at 0) is the exact supremum.
+    union points (together with the floor at 0) is the exact supremum.  The
+    union is covered without a merge, as F's heights minus G at F's jumps
+    and F at G's jumps minus G's heights.
     """
-    pts = np.union1d(f.jump_points, g.jump_points)
-    diff = f.evaluate(pts) - g.evaluate(pts)
-    plus = max(float(np.max(diff)), 0.0)
-    minus = max(float(np.max(-diff)), 0.0)
+    at_f = f.values - g.evaluate(f.jump_points)
+    at_g = f.evaluate(g.jump_points) - g.values
+    plus = max(float(max(np.max(at_f), np.max(at_g))), 0.0)
+    # a zero minimum gives -0.0 here, as the maximum of -(F - G) would
+    minus = max(-float(min(np.min(at_f), np.min(at_g))), 0.0)
     return _pick_side(side, plus, minus)
 
 
@@ -221,18 +236,19 @@ def sup_distance_reference(
     Positive part: max over jumps x of F(x) - ref(x).  Negative part: max over
     jumps of ref(x) - F(x-), approached as r increases into each jump.  Both
     floored at 0.  ``extra_points`` adds candidate evaluation points, useful
-    when the reference is only piecewise smooth.
+    when the reference is only piecewise smooth; without them F(x) and F(x-)
+    at the jumps are the stored heights.
     """
-    pts = np.asarray(f.jump_points, dtype=float)
     if len(extra_points):
-        pts = np.union1d(pts, np.asarray(extra_points, dtype=float))
+        pts = np.union1d(f.jump_points, np.asarray(extra_points, dtype=float))
+        right, left = f.evaluate(pts), f.evaluate_left(pts)
+    else:
+        pts, right, left = f.jump_points, f.values, f._padded[:-1]
     ref = _reference_values(ref_cdf, pts)
     if not np.all((ref >= -1e-9) & (ref <= 1.0 + 1e-9)):  # also rejects NaN
         raise DomainError("reference CDF values must lie in [0, 1]")
     if np.any(np.diff(ref) < -1e-12):
         raise DomainError("reference CDF must be nondecreasing")
-    right = f.evaluate(pts)
-    left = f.evaluate_left(pts)
     plus = max(float(np.max(right - ref)), 0.0)
     minus = max(float(np.max(ref - left)), 0.0)
     return _pick_side(side, plus, minus)

@@ -221,8 +221,15 @@ def finite_theta_test(
     if len(stats) != len(ranges):
         raise DomainError(f"{len(stats)} statistics but {len(ranges)} ranges")
     for i, (obs, exp) in enumerate(stats):
+        try:
+            finite = math.isfinite(obs - exp)
+        except TypeError:
+            raise DomainError(
+                f"statistic pair {i} must hold two real numbers, got"
+                f" {type(obs).__name__} and {type(exp).__name__}"
+            ) from None
         # max() below keeps its running maximum past a nan, so check each difference here
-        if not math.isfinite(obs - exp):
+        if not finite:
             raise DomainError(
                 f"statistic pair {i} (observed {obs}, expected {exp}) must be finite"
                 " with a finite difference"

@@ -392,3 +392,130 @@ class TestUnhashableLabels:
     def test_rejects_unhashable_labels(self, labels):
         with pytest.raises(DomainError, match="cluster labels must be hashable"):
             ClusteredSample(values=[0.1, 0.2], cluster_ids=labels)
+
+
+class TestNonSequenceClusterIds:
+    @pytest.mark.parametrize("cluster_ids, type_name", [(5, "int"), (None, "NoneType")])
+    def test_rejects_and_names_the_type(self, cluster_ids, type_name):
+        with pytest.raises(
+            DomainError, match=f"cluster_ids must be a sequence of labels, got {type_name}$"
+        ):
+            ClusteredSample(values=[0.1, 0.2], cluster_ids=cluster_ids)
+
+
+def union_sup_two_sample(f, g, side):
+    """Merge-based reference: evaluate both CDFs on the sorted union of their jumps."""
+    pts = np.union1d(f.jump_points, g.jump_points)
+    diff = f.evaluate(pts) - g.evaluate(pts)
+    plus = max(float(np.max(diff)), 0.0)
+    minus = max(float(np.max(-diff)), 0.0)
+    return {TailSide.PLUS: plus, TailSide.MINUS: minus}.get(side, max(plus, minus))
+
+
+def iid_ecdf(xs):
+    return ecdf(ClusteredSample.iid(xs))
+
+
+def two_sample_cases():
+    rng = np.random.default_rng(20261018)
+    cases = [
+        (iid_ecdf([0.2, 0.4, 0.9]), iid_ecdf([0.2, 0.4, 0.9])),  # identical samples
+        (iid_ecdf([0.1, 0.2, 0.2]), iid_ecdf([0.5, 0.7])),  # disjoint supports
+        (iid_ecdf([0.3]), iid_ecdf([0.3])),  # single points, shared
+        (iid_ecdf([0.3]), iid_ecdf([0.8])),  # single points, apart
+        (iid_ecdf([0.5]), iid_ecdf([0.1, 0.5, 0.9])),
+        # direct heights, one of them 0 and one -0.0
+        (
+            StepCdf(jump_points=[0.0, 0.25, 0.5], values=[0.0, 0.5, 1.0]),
+            StepCdf(jump_points=[0.25, 0.75], values=[0.25, 1.0]),
+        ),
+        (
+            StepCdf(jump_points=[0.1, 0.3], values=[-0.0, 1.0]),
+            StepCdf(jump_points=[0.1, 0.2, 0.3], values=[0.0, 0.5, 1.0]),
+        ),
+    ]
+    for _ in range(200):
+        # a coarse shared lattice makes many jump points common to both samples
+        xs, ys = (
+            rng.integers(0, int(rng.integers(1, 30)), size=int(rng.integers(1, 40))) / 8.0
+            for _ in range(2)
+        )
+        cases.append((iid_ecdf(xs), iid_ecdf(ys)))
+        heights = np.sort(rng.integers(0, 6, size=np.unique(xs).size) / 5.0)
+        heights[-1] = 1.0
+        cases.append((StepCdf(jump_points=np.unique(xs), values=heights), iid_ecdf(ys)))
+    return cases
+
+
+class TestSupDistanceTwoSampleBitIdentity:
+    def test_matches_union_reference_bit_for_bit(self):
+        # adding 0.0 leaves every bit but the sign of a zero, which the next test pins
+        for f, g in two_sample_cases():
+            for side in TailSide:
+                for a, b in ((f, g), (g, f)):
+                    got = sup_distance_two_sample(a, b, side) + 0.0
+                    assert got.hex() == (union_sup_two_sample(a, b, side) + 0.0).hex()
+
+    def test_zero_minus_side_statistic_is_negative_zero(self):
+        # pins the current sign of a zero statistic when F >= G everywhere;
+        # re-record it in the change that certifies p-values
+        f = ecdf(ClusteredSample.iid([0.1, 0.2]))
+        g = ecdf(ClusteredSample.iid([0.5, 0.6]))
+        for a, b in ((f, g), (f, f)):
+            assert sup_distance_two_sample(a, b, TailSide.MINUS).hex() == "-0x0.0p+0"
+        assert sup_distance_two_sample(f, f, TailSide.PLUS).hex() == "0x0.0p+0"
+
+    def test_negative_zero_height_is_stored_as_zero(self):
+        f = StepCdf(jump_points=[0.1, 0.3], values=[-0.0, 1.0])
+        assert f.values[0].hex() == "0x0.0p+0"
+
+
+def searchsorted_sup_reference(f, ref_cdf, side):
+    """Reference that searches the step CDF for its own jump points."""
+    pts = f.jump_points
+    padded = np.concatenate(([0.0], f.values))
+    right = padded[np.searchsorted(pts, pts, side="right")]
+    left = padded[np.searchsorted(pts, pts, side="left")]
+    ref = ref_cdf(pts)
+    plus = max(float(np.max(right - ref)), 0.0)
+    minus = max(float(np.max(ref - left)), 0.0)
+    return {TailSide.PLUS: plus, TailSide.MINUS: minus}.get(side, max(plus, minus))
+
+
+class TestSupDistanceReferenceSelfEvaluation:
+    def test_matches_searchsorted_reference_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            jumps = np.unique(rng.uniform(-0.2, 1.2, size=int(rng.integers(1, 50))).round(2))
+            if rng.random() < 0.5:
+                f = StepCdf.empirical(rng.choice(jumps, size=int(rng.integers(1, 80))))
+            else:
+                heights = np.sort(rng.uniform(size=jumps.size))
+                heights[-1] = 1.0
+                f = StepCdf(jump_points=jumps, values=heights)
+            for side in TailSide:
+                got = sup_distance_reference(f, uniform_cdf, side, extra_points=())
+                assert got.hex() == searchsorted_sup_reference(f, uniform_cdf, side).hex()
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (1.5, r"must lie in \[0, 1\]"),
+            (-0.5, r"must lie in \[0, 1\]"),
+            (math.nan, r"must lie in \[0, 1\]"),
+            ("drop", "must be nondecreasing"),
+        ],
+    )
+    def test_checks_see_every_jump_point(self, at, bad, message):
+        jumps = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        f = StepCdf.empirical(jumps)
+        # "drop" makes the reference decrease into or out of the chosen jump only
+        value = {0: 0.95, 2: 0.0, 4: 0.0}[at] if bad == "drop" else bad
+
+        def ref(r):
+            out = uniform_cdf(np.asarray(r, dtype=float))
+            return np.where(r == jumps[at], value, out)
+
+        with pytest.raises(DomainError, match=message):
+            sup_distance_reference(f, ref, TailSide.TWO_SIDED)

@@ -378,3 +378,18 @@ class TestFiniteThetaNonFinite:
     def test_rejects_and_names_the_pair(self, stats, pair):
         with pytest.raises(DomainError, match=f"statistic pair {pair} "):
             finite_theta_test(stats, [RangeSpec(0, 1)] * 2, c=400.0)
+
+
+class TestFiniteThetaNonNumeric:
+    @pytest.mark.parametrize(
+        "stats, pair, types",
+        [
+            ([("a", 0.0)], 0, "str and float"),
+            ([(0.5, 0.1), (0.2, None)], 1, "float and NoneType"),
+        ],
+    )
+    def test_rejects_and_names_the_pair(self, stats, pair, types):
+        with pytest.raises(
+            DomainError, match=f"statistic pair {pair} must hold two real numbers, got {types}$"
+        ):
+            finite_theta_test(stats, [RangeSpec(0, 1)] * len(stats), c=400.0)
