@@ -35,8 +35,11 @@ Both share the dialect ``csv.reader`` reads by default: UTF-8, comma-separated,
 lines are skipped; every cell is stripped; numbers use Python ``float()``
 grammar and must be finite; cluster labels may not be empty.  Errors name
 the first bad row (and column), counting non-blank records with the header
-as row 1.  The whole file is read into arrays by numpy's C tokenizer; a
-row-by-row ``csv.reader`` pass runs only when that fails, to name the fault.
+as row 1.  Two readers implement this dialect.  The fast one takes the header
+as the first ``csv.reader`` record and has numpy's C reader parse the rest
+straight into float64.  The reference reads every row with ``csv.reader`` and
+``float(cell.strip())``; it runs only when the fast one cannot read the whole
+file, and it either returns the same arrays or names the first fault.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -124,75 +127,99 @@ def _panel_header(path: str, header: list[str]) -> int:
     return len(header)
 
 
-def _raise_first_fault(path: str, check_header: HeaderCheck, exc: Exception) -> NoReturn:
-    """Re-read ``path`` row by row, name its first bad row or cell, and raise.
+def _records(path: str, fh: TextIO) -> Iterator[list[str]]:
+    """The non-blank ``csv.reader`` records of ``fh``; one it cannot read is a DataFormatError."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(filter(None, csv.reader(fh)), start=1):
+            yield row
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise DataFormatError(f"{path}: row {row_no + 1}: {exc}") from exc
 
-    Runs only after the array path has failed, so every message names the same
-    row and column a row-by-row read would.  ``check_header`` returns how many
-    leading columns are numeric; any column after them is a cluster label.  If
-    no row is at fault, ``exc`` is re-raised as a :class:`DataFormatError`.
+
+def _read_reference(path: str, check_header: HeaderCheck) -> tuple[list[str], np.ndarray, list[str]]:
+    """Read ``path`` row by row with ``csv.reader``; the reference the array reader must match.
+
+    Returns the stripped header, the numeric cells as a 2-d float64 array
+    parsed by ``float(cell.strip())``, and the stripped labels of the columns
+    after them (``check_header`` returns how many leading columns are
+    numeric).  Raises on the first bad row or cell, in file order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        rows = list(_records(path, fh))
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]
     numeric = check_header(path, header)
+    if len(rows) == 1:
+        raise DataFormatError(f"{path}: no data rows")
+    numbers: list[list[float]] = []
+    labels: list[str] = []
     for row_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_no}: expected {len(header)} columns, got {len(row)}"
             )
-        for col, cell in enumerate(row, start=1):
-            if col <= numeric:
-                _parse_finite(cell.strip(), path, row_no, col)
-            elif not cell.strip():
+        cells = enumerate(row[:numeric], start=1)
+        numbers.append([_parse_finite(cell.strip(), path, row_no, col) for col, cell in cells])
+        for col, cell in enumerate(row[numeric:], start=numeric + 1):
+            label = cell.strip()
+            if not label:
                 raise DataFormatError(f"{path}: row {row_no}, column {col}: empty cluster label")
-    raise DataFormatError(f"{path}: {exc}") from exc
+            labels.append(label)
+    return header, np.array(numbers, dtype=np.float64), labels
 
 
-def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.ndarray]:
-    """The stripped header of ``path`` and its data rows as a 2-d object array of str cells.
+def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.ndarray, list[str]]:
+    """The stripped header of ``path``, its numeric cells as a 2-d float64 array, and its labels.
 
-    numpy's C tokenizer splits records as ``csv.reader`` does; the file is
-    opened with ``newline=""`` so line ends inside quoted cells stay verbatim.
+    The header is the first non-blank ``csv.reader`` record; numpy's C reader
+    parses the rest of the same handle straight into float64 (a ``value``
+    float and a ``cluster`` str per row when the file has a label column).
+    Its float grammar is a subset of ``float(cell.strip())`` and correctly
+    rounded, so every number it reads has the reference's bits.  Anything it
+    cannot read whole (a ragged row, a cell outside its grammar, a non-finite
+    number, an empty label, no data rows) is re-read by :func:`_read_reference`,
+    which returns the table or names the first fault.  The file is opened with
+    ``newline=""`` so line ends inside quoted cells stay verbatim.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            cells = np.loadtxt(
-                fh, dtype=object, delimiter=",", quotechar='"', comments=None, ndmin=2
-            )
-    except ValueError as exc:  # ragged records
-        _raise_first_fault(path, check_header, exc)
-    if cells.shape[0] == 0:
-        raise DataFormatError(f"{path}: empty file")
-    header = [cell.strip() for cell in cells[0].tolist()]
-    check_header(path, header)
-    if cells.shape[0] == 1:
-        raise DataFormatError(f"{path}: no data rows")
-    return header, cells[1:]
-
-
-def _finite(cells: np.ndarray) -> np.ndarray:
-    """Cells as float64 in Python ``float()`` grammar; ValueError unless all are finite."""
-    values = cells.astype(np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    return values
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(_records(path, fh), None)
+        if header is None:  # an empty file, which the reference reports
+            return _read_reference(path, check_header)
+        header = [cell.strip() for cell in header]
+        numeric = check_header(path, header)
+        labelled = numeric < len(header)  # the one labelled layout is value,cluster
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                body = np.loadtxt(
+                    fh,
+                    dtype=[("value", "f8"), ("cluster", object)] if labelled else np.float64,
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    ndmin=1 if labelled else 2,
+                )
+        except ValueError:
+            body = None
+    if body is None or not body.size:
+        return _read_reference(path, check_header)
+    if labelled:
+        numbers = body["value"][:, np.newaxis]
+        labels = list(map(str.strip, body["cluster"].tolist()))
+    else:
+        numbers, labels = body, []
+    if numbers.shape[1] != numeric or not np.isfinite(numbers).all() or "" in labels:
+        return _read_reference(path, check_header)
+    return header, numbers, labels
 
 
 def _ingest_clustered(path: str) -> tuple[ClusteredSample, tuple[str, ...]]:
-    header, body = _read_table(path, _clustered_header)
-    clustered = len(header) == 2
-    try:
-        values = _finite(body[:, 0])
-        if clustered:
-            clusters: list = list(map(str.strip, body[:, 1].tolist()))
-            if "" in clusters:
-                raise ValueError("empty cluster label")
-    except ValueError as exc:
-        _raise_first_fault(path, _clustered_header, exc)
+    header, numbers, clusters = _read_table(path, _clustered_header)
+    values = numbers[:, 0]
     notes: tuple[str, ...] = ()
-    if not clustered:
+    if len(header) == 1:
         clusters = list(range(2, len(values) + 2))  # each row its own cluster, named by row number
         notes = (
             f"{path}: no cluster column; treating each observation as its own cluster (iid)",
@@ -217,11 +244,7 @@ def ingest_clustered_csv(path: str) -> ClusteredSample:
 
 def ingest_trajectory_csv(path: str, k_lip: float) -> TrajectoryPanel:
     """Load a ``time,unit_1,...,unit_n`` CSV into a consistency-checked panel."""
-    _, body = _read_table(path, _panel_header)
-    try:
-        matrix = _finite(body)
-    except ValueError as exc:
-        _raise_first_fault(path, _panel_header, exc)
+    _, matrix, _ = _read_table(path, _panel_header)
     try:
         return TrajectoryPanel(times=matrix[:, 0], unit_values=matrix[:, 1:].T, k_lip=k_lip)
     except DataFormatError as exc:

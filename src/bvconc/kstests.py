@@ -220,7 +220,13 @@ def finite_theta_test(
         raise DomainError("need at least one (observed, expected) pair")
     if len(stats) != len(ranges):
         raise DomainError(f"{len(stats)} statistics but {len(ranges)} ranges")
-    for i, (obs, exp) in enumerate(stats):
+    for i, entry in enumerate(stats):
+        try:
+            obs, exp = entry
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"statistic entry {i} must be an (observed, expected) pair, got {entry!r}"
+            ) from None
         try:
             finite = math.isfinite(obs - exp)
         except TypeError:

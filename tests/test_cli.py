@@ -10,20 +10,26 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bvconc.bounds import BoundParams, TailSide, tail_bound, tail_bound_raw
 from bvconc.cli import (
+    _clustered_header,
     _ingest_clustered,
+    _read_reference,
+    _read_table,
     ingest_clustered_csv,
     ingest_trajectory_csv,
     main,
 )
-from bvconc.empirical import ClusteredSample
+from bvconc.empirical import ClusteredSample, TrajectoryPanel
 from bvconc.errors import DataFormatError, LipschitzConsistencyError
 
 CLUSTERED = "value,cluster\n1.0,a\n2.0,a\n3.0,b\n"
@@ -465,6 +471,165 @@ class TestCsvDialect:
         with pytest.raises(DataFormatError) as info:
             ingest_trajectory_csv(path, 1.0)
         assert str(info.value) == f"{path}: {message}"
+
+
+# cells for the reader parity property: digits, the float punctuation, ASCII and
+# Unicode spaces, the separators \x1c-\x1f that str.strip removes, an Arabic-Indic
+# digit, and the quote, comma and line ends that split records
+JUNK = st.text("0123456789.eE+-_ \t\x1c\x1d\x1e\x1f\xa0١\",\r\n", max_size=6)
+PAD = st.text(" \t\x1c\x1d\x1e\x1f\xa0", max_size=2)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.from_regex(r"[+-]?(\d+(_\d+)?\.?\d*|\.\d+)([eE][+-]?\d{1,3})?", fullmatch=True),
+)
+LABELS = st.one_of(st.sampled_from(["a", " b ", '"a,b"', '"a\r\nb"', '""']), JUNK)
+UNIT_VALUES = st.floats(0.0, 1.0).map(repr)
+
+
+def spelled(numbers):
+    """Cells that spell a number from ``numbers``: bare, padded, quoted, or replaced by junk."""
+    return st.one_of(
+        numbers,
+        st.tuples(PAD, numbers, PAD).map("".join),
+        numbers.map(lambda text: f'"{text}"'),
+        JUNK,
+    )
+
+
+@st.composite
+def csv_texts(draw, kind):
+    """A small clustered, iid or panel CSV text built from the adversarial cells."""
+    n_rows = draw(st.integers(1, 4))
+    if kind == "panel":
+        times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n_rows, max_size=n_rows, unique=True)))
+        header = "time,unit_1,unit_2"
+        rows = [
+            [draw(spelled(st.just(repr(t)))), draw(spelled(UNIT_VALUES)), draw(spelled(UNIT_VALUES))]
+            for t in times
+        ]
+    else:
+        header = "value,cluster" if kind == "clustered" else "value"
+        cells = [spelled(NUMBERS), LABELS] if kind == "clustered" else [spelled(NUMBERS)]
+        rows = [[draw(cell) for cell in cells] for _ in range(n_rows)]
+    lines = [header] + [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "")  # a blank line
+    newline = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def ingest_outcome(ingest, path, read_table):
+    """What ``ingest(path)`` returns, or the type and message it raises, with ``read_table`` as the reader."""
+    with mock.patch("bvconc.cli._read_table", read_table):
+        try:
+            return ingest(path)
+        except DataFormatError as exc:
+            return type(exc), str(exc)
+
+
+class TestReaderParity:
+    """The array reader and the ``csv.reader`` reference agree cell for cell and fault for fault."""
+
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("kind", ["clustered", "iid"])
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_clustered_matches_reference(self, tmp_path, kind, data):
+        path = write_raw(tmp_path, "p.csv", data.draw(csv_texts(kind)))
+        fast = ingest_outcome(_ingest_clustered, path, _read_table)
+        reference = ingest_outcome(_ingest_clustered, path, _read_reference)
+        if isinstance(reference[0], ClusteredSample):
+            (sample, notes), (expected, expected_notes) = fast, reference
+            assert sample.values.tobytes() == expected.values.tobytes()
+            assert sample.cluster_ids.tobytes() == expected.cluster_ids.tobytes()
+            assert sample.cluster_spec().sizes == expected.cluster_spec().sizes
+            assert notes == expected_notes
+        else:
+            assert fast == reference
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts("panel"))
+    def test_panel_matches_reference(self, tmp_path, text):
+        path = write_raw(tmp_path, "t.csv", text)
+        ingest = partial(ingest_trajectory_csv, k_lip=1e6)
+        fast = ingest_outcome(ingest, path, _read_table)
+        reference = ingest_outcome(ingest, path, _read_reference)
+        if isinstance(reference, TrajectoryPanel):
+            assert fast.times.tobytes() == reference.times.tobytes()
+            assert fast.unit_values.tobytes() == reference.unit_values.tobytes()
+        else:
+            assert fast == reference
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"value\n",cluster\n1.5,a\n2.5,"a\nb"\n',
+            '"value\r\n","\rcluster"\r\n1.5,a\r\n2.5,"a\nb"\r\n',
+            '\n"value\n\n",cluster\n\n1.5,a\n2.5,"a\nb"',
+        ],
+        ids=["lf", "crlf-and-cr", "blank-lines"],
+    )
+    def test_header_spanning_lines(self, tmp_path, text):
+        sample, _ = _ingest_clustered(write_raw(tmp_path, "h.csv", text))
+        assert sample.values.tolist() == [1.5, 2.5]
+        assert sample.cluster_spec().sizes == (1, 1)
+
+    def test_panel_header_spanning_lines(self, tmp_path):
+        text = 'time,"unit\r\n1",unit_2\r\n0.0,0.1,0.2\r\n1.0,0.4,0.25\r\n'
+        panel = ingest_trajectory_csv(write_raw(tmp_path, "h.csv", text), 1.0)
+        assert panel.times.tolist() == [0.0, 1.0]
+        assert panel.unit_values.tolist() == [[0.1, 0.4], [0.2, 0.25]]
+
+    @pytest.mark.parametrize("read", [_read_table, _read_reference], ids=["fast", "reference"])
+    def test_separator_padding_is_stripped(self, tmp_path, read):
+        path = write_raw(tmp_path, "s.csv", "value,cluster\n\x1c1.5,a\n2.5\x1f,a\n\x1d\x1e-3.5\x1e,\x1fb\x1c\n")
+        header, numbers, labels = read(path, _clustered_header)
+        assert (header, numbers.tolist(), labels) == (["value", "cluster"], [[1.5], [2.5], [-3.5]], ["a", "a", "b"])
+
+    def test_separator_padding_in_panels(self, tmp_path):
+        path = write_raw(tmp_path, "s.csv", "time,unit_1\n\x1c0.0\x1d,\x1e0.25\n1.0\x1f,0.5\n")
+        panel = ingest_trajectory_csv(path, 1.0)
+        assert panel.times.tolist() == [0.0, 1.0]
+        assert panel.unit_values.tolist() == [[0.25, 0.5]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("value\n1.0,2.0\n3.0,4.0\n", "row 2: expected 1 columns, got 2"),
+            ("value,cluster\n1.0\n2.0\n", "row 2: expected 2 columns, got 1"),
+        ],
+    )
+    def test_consistently_wrong_width_clustered(self, tmp_path, text, message):
+        path = write_raw(tmp_path, "w.csv", text)
+        with pytest.raises(DataFormatError) as info:
+            _ingest_clustered(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_consistently_wrong_width_panel(self, tmp_path):
+        path = write_raw(tmp_path, "w.csv", "time,unit_1,unit_2\n0.0,0.1\n1.0,0.2\n")
+        with pytest.raises(DataFormatError) as info:
+            ingest_trajectory_csv(path, 1.0)
+        assert str(info.value) == f"{path}: row 2: expected 3 columns, got 2"
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ('"value,cluster\n' + "1.0,a\n" * 30_000, 1),
+            ('value,cluster\n1.0,"' + "x" * 140_000 + '"\n2.0,b,c\n', 2),
+        ],
+        ids=["header", "body"],
+    )
+    def test_cell_over_csv_field_limit_is_a_format_error(self, tmp_path, text, row):
+        path = write_raw(tmp_path, "big.csv", text)
+        limit = csv.field_size_limit()
+        with pytest.raises(DataFormatError) as info:
+            _ingest_clustered(path)
+        assert str(info.value) == f"{path}: row {row}: field larger than field limit ({limit})"
 
 
 def write_matrix_inputs(directory: Path) -> None:

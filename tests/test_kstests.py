@@ -1,6 +1,7 @@
 """Composition of statistics, coefficients, and tails into test outcomes."""
 
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -392,4 +393,16 @@ class TestFiniteThetaNonNumeric:
         with pytest.raises(
             DomainError, match=f"statistic pair {pair} must hold two real numbers, got {types}$"
         ):
+            finite_theta_test(stats, [RangeSpec(0, 1)] * len(stats), c=400.0)
+
+
+class TestFiniteThetaNonPair:
+    @pytest.mark.parametrize(
+        "stats, entry, shown",
+        [([1.0], 0, "1.0"), ([(0.5, 0.1), (0.2, 0.1, 0.0)], 1, "(0.2, 0.1, 0.0)")],
+        ids=["scalar", "triple"],
+    )
+    def test_rejects_and_names_the_entry(self, stats, entry, shown):
+        message = f"statistic entry {entry} must be an (observed, expected) pair, got {shown}"
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
             finite_theta_test(stats, [RangeSpec(0, 1)] * len(stats), c=400.0)
