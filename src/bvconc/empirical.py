@@ -295,7 +295,8 @@ class TrajectoryPanel:
         excess = dv - (self.k_lip * dt + 1e-9)
         if excess.max() > 0:
             unit, step = np.unravel_index(int(np.argmax(excess)), excess.shape)
-            slope = dv[unit, step] / dt[step]
+            # Python floats: a subnormal dt gives an infinite slope, not a numpy overflow warning
+            slope = float(dv[unit, step]) / float(dt[step])
             raise LipschitzConsistencyError(
                 f"unit {unit + 1} moves with slope {slope:g} between "
                 f"t={self.times[step]:g} and t={self.times[step + 1]:g}, "

@@ -1,6 +1,7 @@
 """Exactness of sup statistics against brute-force oracles, plus panel bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -519,3 +520,15 @@ class TestSupDistanceReferenceSelfEvaluation:
 
         with pytest.raises(DomainError, match=message):
             sup_distance_reference(f, ref, TailSide.TWO_SIDED)
+
+
+class TestSubnormalTimeStep:
+    def test_infinite_slope_is_a_consistency_error_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LipschitzConsistencyError, match="slope inf"):
+                TrajectoryPanel(
+                    times=np.array([0.0, 2.225073858507e-311]),
+                    unit_values=np.array([[0.0, 0.0], [0.0, 1.0]]),
+                    k_lip=1e6,
+                )

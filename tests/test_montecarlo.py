@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from bvconc import montecarlo
@@ -409,6 +411,104 @@ class TestGoldenZeroEpsReports:
     def test_golden_has_signed_zero_thresholds(self, golden):
         for report in golden.values():
             assert [math.copysign(1.0, e) for e in report["config"]["eps_grid"][:2]] == [-1.0, 1.0]
+
+
+U64 = st.integers(0, 2**64 - 1)
+
+
+class TestTrialBlocksPlainIntState:
+    """The reset state held as Python ints gives the fresh ``trial_rng`` rows, call by call."""
+
+    @settings(max_examples=200, deadline=None)
+    # the last two trials wrap the counter word to 0 and 1
+    @example(seed=2**64 - 1, stream=2**64 - 1, first=2**64 - 3, width=41)
+    @given(seed=U64, stream=U64, first=st.integers(0, 2**64 - 3), width=st.integers(1, 41))
+    def test_rows_match_trial_rng(self, seed, stream, first, width):
+        trials = 5
+        rows = 0
+        for start, block in montecarlo._trial_blocks(seed, stream, first, trials, width):
+            for t, row in enumerate(block, start):
+                expected = trial_rng(seed, stream, first + t).random(width)
+                assert row.tobytes() == expected.tobytes()
+                rows += 1
+        assert rows == trials
+
+    def test_interleaved_calls_share_no_state(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+        calls = [(5, 2, 0, 7, 16), (5, 3, 0, 7, 16)]
+        alone = [[block.tobytes() for _, block in montecarlo._trial_blocks(*args)] for args in calls]
+        interleaved = [[], []]
+        # one block from the first call, then one from the second, and so on
+        for pair in zip(*(montecarlo._trial_blocks(*args) for args in calls)):
+            for out, (_, block) in zip(interleaved, pair):
+                out.append(block.tobytes())
+        assert [len(blocks) for blocks in alone] == [3, 3]
+        assert interleaved == alone
+        assert alone[0] != alone[1]
+
+
+# each case calls one experiment with ``value`` in place of the named integer argument
+INTEGER_ARGUMENT_CASES = {
+    "grid_n": ("n", lambda v: conjecture_refutation_experiment(v, [1], 0.25, 10, 0)),
+    "grid_m": ("m", lambda v: conjecture_refutation_experiment(16, [1, v], 0.25, 10, 0)),
+    "grid_trials": ("trials", lambda v: conjecture_refutation_experiment(16, [1], 0.25, v, 0)),
+    "grid_seed": ("seed", lambda v: conjecture_refutation_experiment(16, [1], 0.25, 10, v)),
+    "coverage_n": ("n", lambda v: iid_coverage(v, 100, 0, (0.5,), TailSide.TWO_SIDED)),
+    "coverage_trials": ("trials", lambda v: iid_coverage(10, v, 0, (0.5,), TailSide.TWO_SIDED)),
+    "coverage_seed": ("seed", lambda v: iid_coverage(10, 100, v, (0.5,), TailSide.TWO_SIDED)),
+    "sharpness_n": ("n", lambda v: sharpness_experiment(v, 0.25, 10, 0)),
+    "sharpness_trials": ("trials", lambda v: sharpness_experiment(16, 0.25, v, 0)),
+    "sharpness_m_cap": ("m_cap", lambda v: sharpness_experiment(16, 0.25, 10, 0, m_cap=v)),
+    "sharpness_seed": ("seed", lambda v: sharpness_experiment(16, 0.25, 10, v)),
+    "grid_sup_n": ("n", lambda v: binomial_grid_sup(v, 2, 0)),
+    "grid_sup_m": ("m", lambda v: binomial_grid_sup(2, v, 0)),
+    "grid_sup_seed": ("seed", lambda v: binomial_grid_sup(2, 2, v)),
+}
+
+
+class TestIntegerArguments:
+    """Integer arguments pass ``operator.index``: no truncation, no parsing, numpy integers accepted."""
+
+    @pytest.mark.parametrize("bad", [1.5, 16.0, "3"])
+    @pytest.mark.parametrize("case_id", list(INTEGER_ARGUMENT_CASES))
+    def test_non_integer_rejected(self, case_id, bad):
+        name, call = INTEGER_ARGUMENT_CASES[case_id]
+        message = f"{name} must be an integer, got {type(bad).__name__}"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call(bad)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda i: conjecture_refutation_experiment(i(16), [i(1), i(16)], 0.25, i(30), i(3)),
+            lambda i: iid_coverage(i(10), i(100), i(3), (0.5,), TailSide.TWO_SIDED),
+            lambda i: sharpness_experiment(i(16), 0.1, i(30), i(3), m_cap=i(50)),
+        ],
+    )
+    @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
+    def test_numpy_integers_give_the_python_int_report(self, make, integer):
+        got = make(integer)
+        assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(make(int).to_dict(), sort_keys=True)
+        assert type(got.config.seed) is int
+
+    def test_numpy_seed_accepted(self):
+        assert binomial_grid_sup(2, 2, np.int64(3)) == binomial_grid_sup(2, 2, 3)
+
+    def test_sim_config_coerces(self):
+        config = SimConfig(n=np.int64(2), m=np.int32(1), trials=np.uint64(5), seed=np.int64(3), eps_grid=())
+        assert [type(v) for v in (config.n, config.m, config.trials, config.seed)] == [int] * 4
+        with pytest.raises(DomainError, match="^trials must be an integer, got float$"):
+            SimConfig(n=2, m=1, trials=5.0, seed=0, eps_grid=())
+
+
+class TestIidCoverageSide:
+    def test_rejects_non_tail_side_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew trials before checking side")
+
+        monkeypatch.setattr(montecarlo, "_trial_blocks", no_draws)
+        with pytest.raises(DomainError, match="^side must be a TailSide, got str$"):
+            iid_coverage(10, 100, 0, (0.5,), "two")
 
 
 if __name__ == "__main__":
