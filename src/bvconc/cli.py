@@ -406,12 +406,10 @@ def _render_csv(payload: dict) -> str:
         lines.append("eps,bound")
         for r in payload["results"]:
             lines.append(f"{_fmt(r['eps'])},{_fmt(r['p_upper'])}")
-    elif "critical" in payload:  # critical table / test outcome
+    else:  # critical table / test outcome
         lines.append("alpha,critical")
         for alpha, value in payload["critical"].items():
             lines.append(f"{alpha},{_fmt(value)}")
-    else:
-        raise DomainError("this payload has no CSV rendering")
     return "\n".join(lines) + "\n"
 
 

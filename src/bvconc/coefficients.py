@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .bounds import BoundParams
-from .errors import DomainError
+from .errors import BvconcError, DomainError
 
 __all__ = [
     "RangeSpec",
@@ -137,28 +137,29 @@ class MonotoneReal:
     range: RangeSpec
 
 
+def _check_k_lip(k_lip: float, error: type[BvconcError] = DomainError) -> None:
+    """Reject a Lipschitz constant that is negative or not finite, raising ``error``."""
+    if not (math.isfinite(k_lip) and k_lip >= 0.0):
+        raise error(f"Lipschitz constant must be >= 0, got {k_lip}")
+
+
 @dataclass(frozen=True)
-class LipschitzDifferentiable:
+class _Lipschitz:
+    """Values in ``range`` with a one-sided Lipschitz constant ``k_lip``."""
+
+    range: RangeSpec
+    k_lip: float
+
+    def __post_init__(self) -> None:
+        _check_k_lip(self.k_lip)
+
+
+class LipschitzDifferentiable(_Lipschitz):
     """Differentiable on [0,1] with derivative bounded below by -k_lip."""
 
-    range: RangeSpec
-    k_lip: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.k_lip) and self.k_lip >= 0.0):
-            raise DomainError(f"Lipschitz constant must be >= 0, got {self.k_lip}")
-
-
-@dataclass(frozen=True)
-class LipschitzOneSided:
+class LipschitzOneSided(_Lipschitz):
     """One-sided K-Lipschitz on [0,1]; no smoothness assumed."""
-
-    range: RangeSpec
-    k_lip: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.k_lip) and self.k_lip >= 0.0):
-            raise DomainError(f"Lipschitz constant must be >= 0, got {self.k_lip}")
 
 
 DownwardVariationCase = Union[FiniteTheta, MonotoneReal, LipschitzDifferentiable, LipschitzOneSided]
@@ -190,7 +191,7 @@ def downward_variation(case: DownwardVariationCase) -> float:
         return sum(r.width for r in case.ranges) ** 2
     if isinstance(case, MonotoneReal):
         return case.range.width**2
-    if isinstance(case, (LipschitzDifferentiable, LipschitzOneSided)):
+    if isinstance(case, _Lipschitz):
         return (case.range.width + case.k_lip) ** 2
     raise DomainError(f"unknown downward-variation case: {case!r}")
 
@@ -210,8 +211,7 @@ def lipschitz_difference_params(
     """
     if n_units < 1:
         raise DomainError(f"unit count must be >= 1, got {n_units}")
-    if not (math.isfinite(k_lip) and k_lip >= 0.0):
-        raise DomainError(f"Lipschitz constant must be >= 0, got {k_lip}")
+    _check_k_lip(k_lip)
     c = n_units / 4.0
     if grid_size is not None:
         if grid_size < 1:

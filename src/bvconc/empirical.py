@@ -32,7 +32,6 @@ pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
@@ -40,7 +39,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from .bounds import TailSide
-from .coefficients import ClusterSpec
+from .coefficients import ClusterSpec, _check_k_lip
 from .errors import DataFormatError, DomainError, LipschitzConsistencyError
 
 __all__ = [
@@ -283,8 +282,7 @@ class TrajectoryPanel:
             )
         if not np.all(np.isfinite(vals)) or vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
             raise DataFormatError("trajectory values must lie in [0, 1]")
-        if not (math.isfinite(self.k_lip) and self.k_lip >= 0.0):
-            raise DataFormatError(f"Lipschitz constant must be >= 0, got {self.k_lip}")
+        _check_k_lip(self.k_lip, DataFormatError)
         self._check_consistency()
 
     def _check_consistency(self) -> None:

@@ -31,6 +31,7 @@ approximation).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -100,7 +101,10 @@ def _trial_blocks(seed: int, stream: int, first: int, trials: int, width: int):
     counter = state["state"]["counter"]
     rows = max(1, _BLOCK_BYTES // (8 * width))
     for start in range(0, trials, rows):
-        block = np.empty((min(rows, trials - start), width))
+        try:
+            block = np.empty((min(rows, trials - start), width))
+        except MemoryError:
+            raise DomainError(f"a trial row of width {width} does not fit in memory") from None
         for t, row in enumerate(block, first + start):
             counter[2] = t & _MASK64
             bitgen.state = state
@@ -114,6 +118,20 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a string or any other non-real is rejected, not parsed."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
+def _iterable(name: str, value) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(f"{name} must be iterable, got {type(value).__name__}") from None
 
 
 def _check_seed(seed: int) -> int:
@@ -181,7 +199,7 @@ class SimConfig:
         if self.n < 1 or self.m < 1 or self.trials < 1:
             raise DomainError("n, m and trials must all be >= 1")
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        grid = tuple(float(e) for e in self.eps_grid)
+        grid = tuple(_real("eps", e) for e in _iterable("eps_grid", self.eps_grid))
         object.__setattr__(self, "eps_grid", grid)
         if not all(map(math.isfinite, grid)):
             raise DomainError(f"eps grid must be finite, got {list(grid)}")
@@ -268,16 +286,14 @@ def conjecture_refutation_experiment(
     assert for every m.  The violation flag marks rows whose empirical
     frequency exceeds the naive bound — the refutation.
     """
+    eps = _real("eps", eps)
     if not (0.0 < eps < 0.5):
         raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
-    n = _integer("n", n)
-    m_list = tuple(_integer("m", m) for m in m_list)
+    m_list = tuple(_integer("m", m) for m in _iterable("m_list", m_list))
     if not m_list or any(m < 1 for m in m_list):
         raise DomainError("m_list must be a nonempty list of positive integers")
-    seed = _check_seed(seed)
-    trials = _integer("trials", trials)
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    config = SimConfig(n=n, m=max(m_list), trials=trials, seed=seed, eps_grid=(eps,))
+    n, trials, seed = config.n, config.trials, config.seed
 
     bh = _binomial_half(n)
     lo_cut = _strict_lower_cut(Fraction(n, 2) - Fraction(eps) * n)
@@ -295,7 +311,6 @@ def conjecture_refutation_experiment(
         exact = float(1 - (1 - p_one) ** m)
         emp = hits / trials
         rows.append(_row(f"m={m}", eps, emp, naive, trials, m=m, exact=exact))
-    config = SimConfig(n=n, m=max(m_list), trials=trials, seed=seed, eps_grid=(eps,))
     return SimReport(
         config=config,
         statistic="max_j |U_j/n - 1/2| over m independent Binomial(n, 1/2) columns",
@@ -337,15 +352,14 @@ def iid_coverage(
     sub-Gaussian budget; rows labeled ``raw`` track the unadjusted sqrt(n)*D±
     against the same budget for comparison.
     """
-    n, trials = _integer("n", n), _integer("trials", trials)
+    config = SimConfig(n=n, m=1, trials=trials, seed=seed, eps_grid=eps_grid)
+    n, trials, seed = config.n, config.trials, config.seed
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if trials < 100:
         raise DomainError(f"need at least 100 trials for stable frequencies, got {trials}")
     if not isinstance(side, TailSide):
         raise DomainError(f"side must be a TailSide, got {type(side).__name__}")
-    seed = _check_seed(seed)
-    config = SimConfig(n=n, m=1, trials=trials, seed=seed, eps_grid=tuple(eps_grid))
 
     sup = np.empty(trials)
     for start, block in _trial_blocks(seed, _STREAM_COVERAGE, 0, trials, n):
@@ -385,6 +399,7 @@ def sharpness_experiment(
     against the exact probabilities; the ``min_le_k`` row reports the
     anchor event min_j U_j <= k itself.
     """
+    l_target = _real("l_target", l_target)
     if not (0.0 < l_target < 0.5):
         raise DomainError(f"l_target must lie in (0, 1/2), got {l_target}")
     n = _integer("n", n)

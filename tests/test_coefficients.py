@@ -19,7 +19,8 @@ from bvconc.coefficients import (
     mcdiarmid_from_clusters,
     mcdiarmid_from_ranges,
 )
-from bvconc.errors import DomainError, VacuousBoundError
+from bvconc.empirical import TrajectoryPanel
+from bvconc.errors import DataFormatError, DomainError, VacuousBoundError
 
 
 class TestRangeSpec:
@@ -188,3 +189,30 @@ class TestClusterSpecSizeTypes:
             assert spec.sizes == (2, 1, 3)
             assert all(type(s) is int for s in spec.sizes)
             assert spec == ClusterSpec([2, 1, 3])
+
+
+class TestLipschitzConstantCheck:
+    """Every holder of a Lipschitz constant rejects a bad one with the same message."""
+
+    @pytest.mark.parametrize("k_lip", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda k: LipschitzDifferentiable(RangeSpec(0, 1), k),
+            lambda k: LipschitzOneSided(RangeSpec(0, 1), k),
+            lambda k: lipschitz_difference_params(4, k),
+        ],
+    )
+    def test_domain_error(self, make, k_lip):
+        with pytest.raises(DomainError, match=f"^Lipschitz constant must be >= 0, got {k_lip}$"):
+            make(k_lip)
+
+    @pytest.mark.parametrize("k_lip", [-0.5, math.nan])
+    def test_panel_raises_data_format_error(self, k_lip):
+        with pytest.raises(DataFormatError, match=f"^Lipschitz constant must be >= 0, got {k_lip}$"):
+            TrajectoryPanel(times=[0.0, 1.0], unit_values=[[0.5, 0.5]], k_lip=k_lip)
+
+    def test_the_two_cases_stay_distinct(self):
+        r = RangeSpec(0, 1)
+        assert LipschitzDifferentiable(r, 1.0) != LipschitzOneSided(r, 1.0)
+        assert repr(LipschitzOneSided(r, 1.0)) == "LipschitzOneSided(range=RangeSpec(lo=0, hi=1), k_lip=1.0)"

@@ -13,6 +13,7 @@ from scipy import stats as sps
 
 from bvconc import montecarlo
 from bvconc.bounds import TailSide
+from bvconc.cli import main
 from bvconc.empirical import StepCdf, sup_distance_reference
 from bvconc.errors import DomainError
 from bvconc.montecarlo import (
@@ -509,6 +510,83 @@ class TestIidCoverageSide:
         monkeypatch.setattr(montecarlo, "_trial_blocks", no_draws)
         with pytest.raises(DomainError, match="^side must be a TailSide, got str$"):
             iid_coverage(10, 100, 0, (0.5,), "two")
+
+
+class TestRealArguments:
+    """Real arguments and threshold grids are type-checked, never parsed from strings."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: conjecture_refutation_experiment(16, [1], "0.25", 10, 0),
+                "eps must be a real number, got str",
+            ),
+            (lambda: sharpness_experiment(16, "0.25", 10, 0), "l_target must be a real number, got str"),
+            (
+                lambda: iid_coverage(10, 100, 0, ("a",), TailSide.TWO_SIDED),
+                "eps must be a real number, got str",
+            ),
+            (
+                lambda: conjecture_refutation_experiment(16, 5, 0.25, 10, 0),
+                "m_list must be iterable, got int",
+            ),
+            (
+                lambda: iid_coverage(10, 100, 0, None, TailSide.TWO_SIDED),
+                "eps_grid must be iterable, got NoneType",
+            ),
+        ],
+    )
+    def test_rejected(self, call, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
+
+    def test_sim_config_does_not_parse_strings(self):
+        with pytest.raises(DomainError, match="^eps must be a real number, got str$"):
+            SimConfig(n=1, m=1, trials=1, seed=0, eps_grid=(0.25, "0.5"))
+
+    def test_real_numbers_become_floats(self):
+        config = SimConfig(n=1, m=1, trials=1, seed=0, eps_grid=[0, np.float32(0.5), Fraction(3, 4)])
+        assert config.eps_grid == (0.0, 0.5, 0.75)
+        assert all(type(e) is float for e in config.eps_grid)
+
+
+def _fail_wide_blocks(monkeypatch, width):
+    """Make ``np.empty`` raise ``MemoryError`` for a block of one ``width``-wide row."""
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if shape == (1, width):
+            raise MemoryError(f"cannot allocate {width} uniforms")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+
+
+class TestOversizedRows:
+    """A trial row too wide to allocate raises a DomainError naming its width."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: conjecture_refutation_experiment(16, [w], 0.25, 1, 0),
+            lambda w: iid_coverage(w, 100, 0, (0.5,), TailSide.TWO_SIDED),
+            lambda w: sharpness_experiment(64, 0.05, 1, 0, m_cap=w),
+        ],
+    )
+    def test_domain_error(self, monkeypatch, call):
+        width = 10**12
+        _fail_wide_blocks(monkeypatch, width)
+        with pytest.raises(DomainError, match=f"^a trial row of width {width} does not fit in memory$"):
+            call(width)
+
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        _fail_wide_blocks(monkeypatch, 10**12)
+        argv = ["simulate", "grid", "--n", "16", "--m", "1000000000000", "--eps", "0.25", "--trials", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a trial row of width 1000000000000 does not fit in memory\n"
 
 
 if __name__ == "__main__":
