@@ -179,9 +179,10 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
     Its float grammar is a subset of ``float(cell.strip())`` and correctly
     rounded, so every number it reads has the reference's bits.  Anything it
     cannot read whole (a ragged row, a cell outside its grammar, a non-finite
-    number, an empty label, no data rows) is re-read by :func:`_read_reference`,
-    which returns the table or names the first fault.  The file is opened with
-    ``newline=""`` so line ends inside quoted cells stay verbatim.
+    number, an empty label, a label over ``csv.field_size_limit()``, no data
+    rows) is re-read by :func:`_read_reference`, which returns the table or
+    names the first fault.  The file is opened with ``newline=""`` so line
+    ends inside quoted cells stay verbatim.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(_records(path, fh), None)
@@ -207,7 +208,11 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
         return _read_reference(path, check_header)
     if labelled:
         numbers = body["value"][:, np.newaxis]
-        labels = list(map(str.strip, body["cluster"].tolist()))
+        cells = body["cluster"].tolist()
+        # loadtxt has no field size limit; the reference reports a label over csv's
+        if max(map(len, cells)) > csv.field_size_limit():
+            return _read_reference(path, check_header)
+        labels = list(map(str.strip, cells))
     else:
         numbers, labels = body, []
     if numbers.shape[1] != numeric or not np.isfinite(numbers).all() or "" in labels:

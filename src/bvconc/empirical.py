@@ -17,21 +17,26 @@ Neither statistic searches a step function for its own jump points: there
 its value is the stored height and its left limit the height before.  So
 the two-sample union is never merged.  The difference is taken at each
 CDF's own jumps, with the other CDF evaluated there; a point shared by both
-samples gives the same difference from either side.
+samples gives the same difference from either side.  One binary search
+places G's jumps among F's, which gives F at G's jumps; counting those
+placements gives G at F's jumps, so no second search is made.
 
 For trajectories only observed on a time grid the sup cannot be attained, so
 ``lipschitz_sup_interval`` returns a certified enclosure instead: the grid
 maximum is a lower bound, and adding half the worst gap times the Lipschitz
 constant of the difference (2K) gives an upper bound.
 
-A ``ClusteredSample`` builds its cluster spec and ECDF once, at construction,
-and stores them beside read-only arrays, so every test on the sample reuses
-them and instances stay immutable and safe to share.  Everything here is
-pure and safe to call concurrently.
+A ``ClusteredSample`` numbers its cluster labels in one dict pass and builds
+its cluster spec and ECDF once, at construction, and stores them beside
+read-only arrays, so every test on the sample reuses them and instances stay
+immutable and safe to share.  Everything here is pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
@@ -86,12 +91,14 @@ class ClusteredSample:
         if not finite.all():
             bad = float(values[np.argmin(finite)])
             raise DomainError(f"observation values must be finite, got {bad}")
-        # first-appearance order keeps the size list deterministic under relabeling
+        # one dict pass: a label's first lookup misses and takes the next code, so
+        # codes number the labels in first-appearance order, which keeps the size
+        # list deterministic under relabeling
+        index = defaultdict(itertools.count().__next__)
         try:
-            index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+            codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=values.size)
         except TypeError as exc:
             raise DomainError(f"cluster labels must be hashable: {exc}") from None
-        codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=values.size)
         for array in (values, codes):
             array.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -205,9 +212,20 @@ def sup_distance_two_sample(f: StepCdf, g: StepCdf, side: TailSide) -> float:
     union points (together with the floor at 0) is the exact supremum.  The
     union is covered without a merge, as F's heights minus G at F's jumps
     and F at G's jumps minus G's heights.
+
+    One binary search places G's jumps among F's; G at F's jumps then comes
+    from counting, not from a second search.  The count of G's jumps at or
+    below each F jump indexes G's heights exactly as a search of G would, so
+    every difference is the same subtraction of the same two floats.
     """
-    at_f = f.values - g.evaluate(f.jump_points)
-    at_g = f.evaluate(g.jump_points) - g.values
+    m = f.jump_points.size
+    ranks = np.searchsorted(f.jump_points, g.jump_points, side="right")
+    at_g = f._padded[ranks] - g.values
+    # G's jumps strictly below each F jump, plus one where the F jump is a G jump;
+    # a rank of 0 wraps to F's last jump, which cannot equal a G jump below F's first
+    below = np.cumsum(np.bincount(ranks, minlength=m + 1)[:m])
+    below[ranks[f.jump_points[ranks - 1] == g.jump_points] - 1] += 1
+    at_f = f.values - g._padded[below]
     plus = max(float(max(np.max(at_f), np.max(at_g))), 0.0)
     # a zero minimum gives -0.0 here, as the maximum of -(F - G) would
     minus = max(-float(min(np.min(at_f), np.min(at_g))), 0.0)

@@ -101,15 +101,20 @@ def _trial_blocks(seed: int, stream: int, first: int, trials: int, width: int):
     counter = state["state"]["counter"]
     rows = max(1, _BLOCK_BYTES // (8 * width))
     for start in range(0, trials, rows):
-        try:
-            block = np.empty((min(rows, trials - start), width))
-        except MemoryError:
-            raise DomainError(f"a trial row of width {width} does not fit in memory") from None
+        block = _allocate((min(rows, trials - start), width), f"a trial row of width {width}")
         for t, row in enumerate(block, first + start):
             counter[2] = t & _MASK64
             bitgen.state = state
             gen.random(out=row)
         yield start, block
+
+
+def _allocate(shape, what: str, dtype=float) -> np.ndarray:
+    """``np.empty(shape, dtype)``; an allocation that fails is a DomainError naming ``what``."""
+    try:
+        return np.empty(shape, dtype)
+    except MemoryError:
+        raise DomainError(f"{what} does not fit in memory") from None
 
 
 def _integer(name: str, value) -> int:
@@ -361,7 +366,7 @@ def iid_coverage(
     if not isinstance(side, TailSide):
         raise DomainError(f"side must be a TailSide, got {type(side).__name__}")
 
-    sup = np.empty(trials)
+    sup = _allocate(trials, f"a result array of {trials} trials")
     for start, block in _trial_blocks(seed, _STREAM_COVERAGE, 0, trials, n):
         sup[start : start + len(block)] = _uniform_sup_distance(block, side)
     params = BoundParams(c=n, d=1.0)
@@ -423,7 +428,7 @@ def sharpness_experiment(
         notes = (f"m_n = {m_n} truncated to cap {m_cap}",)
         m_n = m_cap
 
-    mins = np.empty(trials, dtype=int)
+    mins = _allocate(trials, f"a result array of {trials} trials", int)
     for start, block in _trial_blocks(seed, _STREAM_SHARPNESS, 0, trials, m_n):
         # inversion is nondecreasing, so the row's smallest uniform gives its smallest draw
         mins[start : start + len(block)] = bh.invert(block.min(axis=1))

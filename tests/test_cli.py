@@ -631,6 +631,25 @@ class TestReaderParity:
             _ingest_clustered(path)
         assert str(info.value) == f"{path}: row {row}: field larger than field limit ({limit})"
 
+    def test_label_over_csv_field_limit_in_a_clean_file(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        path = write_raw(tmp_path, "big.csv", 'value,cluster\n1.0,"' + "x" * (limit + 1) + '"\n2.0,b\n')
+        message = f"{path}: row 2: field larger than field limit ({limit})"
+        for read in (_read_table, _read_reference):
+            with pytest.raises(DataFormatError) as info:
+                read(path, _clustered_header)
+            assert str(info.value) == message
+        assert main(["kstest", "one-sample", "--data", path, "--ref", "normal"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_label_at_csv_field_limit_is_read(self, tmp_path):
+        label = "x" * csv.field_size_limit()
+        path = write_raw(tmp_path, "big.csv", f'value,cluster\n1.0,"{label}"\n2.0,b\n')
+        expected = (["value", "cluster"], [[1.0], [2.0]], [label, "b"])
+        for read in (_read_table, _read_reference):
+            header, numbers, labels = read(path, _clustered_header)
+            assert (header, numbers.tolist(), labels) == expected
+
 
 def write_matrix_inputs(directory: Path) -> None:
     """The small seeded files every golden-matrix case reads."""

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bvconc.bounds import TailSide
 from bvconc.empirical import (
@@ -532,3 +534,106 @@ class TestSubnormalTimeStep:
                     unit_values=np.array([[0.0, 0.0], [0.0, 1.0]]),
                     k_lip=1e6,
                 )
+
+
+NAN_A = float("nan")
+NAN_B = float("nan")
+
+
+def first_appearance_reference(labels):
+    """Codes and cluster sizes numbered in first-appearance order, through ``dict.fromkeys``."""
+    index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+    codes = [index[label] for label in labels]
+    return codes, tuple(codes.count(code) for code in range(len(index)))
+
+
+cluster_labels = st.one_of(
+    st.sampled_from([0, 1, 1.0, True, False, 0.0, -0.0, 2, 2.0, NAN_A, NAN_B, None, "1", ""]),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, width=16),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.tuples(st.sampled_from([1, 1.0, True, "a", NAN_A]), st.integers(0, 1)),
+)
+
+
+class TestLabelFactorization:
+    """Cluster codes and sizes follow first appearance under dict equality."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.lists(cluster_labels, min_size=1, max_size=40))
+    @example(labels=[1, 1.0, True])  # equal and equally hashed: one cluster
+    @example(labels=[NAN_A, 2, NAN_A])  # one NaN object, reused: one cluster
+    @example(labels=[NAN_A, NAN_B])  # two NaN objects: two clusters
+    @example(labels=range(7))  # the iid labelling
+    @example(labels=range(3, 0, -1))
+    def test_matches_dict_fromkeys_reference(self, labels):
+        sample = ClusteredSample(values=np.zeros(len(labels)), cluster_ids=labels)
+        codes, sizes = first_appearance_reference(labels)
+        assert sample.cluster_ids.dtype == np.intp
+        assert sample.cluster_ids.tolist() == codes
+        assert sample.cluster_spec().sizes == sizes
+
+
+def two_search_sup_two_sample(f, g, side):
+    """The statistic from two binary searches, one of each CDF at the other's jumps."""
+    at_f = f.values - g.evaluate(f.jump_points)
+    at_g = f.evaluate(g.jump_points) - g.values
+    plus = max(float(max(np.max(at_f), np.max(at_g))), 0.0)
+    minus = max(-float(min(np.min(at_f), np.min(at_g))), 0.0)
+    return {TailSide.PLUS: plus, TailSide.MINUS: minus}.get(side, max(plus, minus))
+
+
+def assert_one_search_matches(f, g):
+    """The statistic equals the two-search form bit for bit and the union reference up to 0's sign."""
+    for side in TailSide:
+        for a, b in ((f, g), (g, f)):
+            got = sup_distance_two_sample(a, b, side)
+            assert got.hex() == two_search_sup_two_sample(a, b, side).hex()
+            assert (got + 0.0).hex() == (union_sup_two_sample(a, b, side) + 0.0).hex()
+
+
+F_JUMPS = [0.3, 0.5, 0.7]
+
+
+class TestSupDistanceTwoSampleOneSearch:
+    """Where G's jumps fall among F's decides the counts that replace the second search."""
+
+    @pytest.mark.parametrize(
+        "g_jumps",
+        [
+            [0.1, 0.2],  # every G jump below F's first: all ranks 0
+            [0.8, 0.9],  # every G jump above F's last: all ranks m
+            [0.3, 0.4, 0.9],  # shares only F's first jump
+            [0.1, 0.3, 0.6],  # shares only F's first jump, with a rank-0 jump before it
+            [0.2, 0.7],  # shares only F's last jump
+            [0.7, 0.8],  # shares only F's last jump, with a rank-m jump after it
+            [0.4, 0.6],  # interleaved, nothing shared
+            [0.5],  # one G jump, shared with F's middle one
+        ],
+    )
+    def test_layouts(self, g_jumps):
+        f = iid_ecdf(F_JUMPS)
+        g = iid_ecdf(g_jumps)
+        assert_one_search_matches(f, g)
+        assert_one_search_matches(StepCdf(jump_points=F_JUMPS, values=[0.0, 0.5, 1.0]), g)
+
+    @pytest.mark.parametrize("xs, ys", [([0.4], [0.4]), ([0.4], [0.2]), ([0.4], [0.6]), ([0.4], F_JUMPS)])
+    def test_single_point_cdfs(self, xs, ys):
+        assert_one_search_matches(iid_ecdf(xs), iid_ecdf(ys))
+
+    @pytest.mark.parametrize("xs", [[0.4], F_JUMPS, [0.1, 0.1, 0.2, 0.9]])
+    def test_identical_cdfs(self, xs):
+        f = iid_ecdf(xs)
+        assert_one_search_matches(f, f)
+        assert_one_search_matches(f, iid_ecdf(xs))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        xs=st.lists(st.integers(0, 12), min_size=1, max_size=25),
+        ys=st.lists(st.integers(0, 12), min_size=1, max_size=25),
+    )
+    def test_small_lattice_samples(self, xs, ys):
+        # thirteen lattice points make jumps shared by both samples common
+        assert_one_search_matches(iid_ecdf(np.array(xs) / 4.0), iid_ecdf(np.array(ys) / 4.0))

@@ -589,6 +589,50 @@ class TestOversizedRows:
         assert captured.err == "error: a trial row of width 1000000000000 does not fit in memory\n"
 
 
+
+def _fail_long_results(monkeypatch, trials):
+    """Make ``np.empty`` raise ``MemoryError`` for a 1-d array of ``trials`` results."""
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if shape == trials:
+            raise MemoryError(f"cannot allocate {trials} results")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+
+
+class TestOversizedResults:
+    """Per-trial results too long to allocate raise a DomainError naming the trial count."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: iid_coverage(2, t, 0, (0.5,), TailSide.TWO_SIDED),
+            lambda t: sharpness_experiment(64, 0.05, t, 0),
+        ],
+    )
+    def test_domain_error(self, monkeypatch, call):
+        trials = 10**13
+        _fail_long_results(monkeypatch, trials)
+        with pytest.raises(DomainError, match=f"^a result array of {trials} trials does not fit in memory$"):
+            call(trials)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "coverage", "--n", "2"],
+            ["simulate", "sharpness", "--n", "64", "--l-target", "0.05"],
+        ],
+    )
+    def test_cli_exits_2(self, monkeypatch, capsys, argv):
+        _fail_long_results(monkeypatch, 10**13)
+        assert main([*argv, "--trials", "10000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a result array of 10000000000000 trials does not fit in memory\n"
+
+
 if __name__ == "__main__":
     record_sim_reports()
     record_zero_eps_reports()
