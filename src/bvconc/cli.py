@@ -223,13 +223,12 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
 def _ingest_clustered(path: str) -> tuple[ClusteredSample, tuple[str, ...]]:
     header, numbers, clusters = _read_table(path, _clustered_header)
     values = numbers[:, 0]
-    notes: tuple[str, ...] = ()
     if len(header) == 1:
-        clusters = list(range(2, len(values) + 2))  # each row its own cluster, named by row number
         notes = (
             f"{path}: no cluster column; treating each observation as its own cluster (iid)",
         )
-    return ClusteredSample(values=values, cluster_ids=clusters), notes
+        return ClusteredSample.iid(values), notes
+    return ClusteredSample(values=values, cluster_ids=clusters), ()
 
 
 def _ingest_clustered_files(*paths: str) -> tuple[list[ClusteredSample], tuple[str, ...]]:

@@ -5,9 +5,10 @@ values.  Because a step CDF is constant between jumps, the supremum of any
 difference involving one or two of them over the whole real line is attained
 on a finite candidate set:
 
-* two step functions: the union of their jump points (each piece of the
-  difference takes its value right at some union point, and the difference
-  vanishes outside the data range);
+* two step functions: the jump points of one of them, G (between two of
+  G's jumps G is constant and F nondecreasing, so F - G is smallest at the
+  left jump and largest as the left limit into the right one, and the
+  difference vanishes outside the data range);
 * a step function against a continuous reference: the jump points again, the
   positive part right at each jump (the step is largest there, the reference
   keeps growing) and the negative part as the left limit into each jump.
@@ -15,18 +16,20 @@ on a finite candidate set:
 So the "sup over the reals" is computed exactly, with no grid and no jitter.
 Neither statistic searches a step function for its own jump points: there
 its value is the stored height and its left limit the height before.  So
-the two-sample union is never merged.  The difference is taken at each
-CDF's own jumps, with the other CDF evaluated there; a point shared by both
-samples gives the same difference from either side.  One binary search
-places G's jumps among F's, which gives F at G's jumps; counting those
-placements gives G at F's jumps, so no second search is made.
+the two-sample union is never merged, and F's own jumps are not visited:
+one binary search places G's jumps among F's, which gives F at each of G's
+jumps, and the rank one lower wherever F also jumps there gives F's left
+limit.  A scalar-only reference CDF is called point by point in bounded
+chunks, so no step holds a Python float for every point.
 
 For trajectories only observed on a time grid the sup cannot be attained, so
 ``lipschitz_sup_interval`` returns a certified enclosure instead: the grid
 maximum is a lower bound, and adding half the worst gap times the Lipschitz
 constant of the difference (2K) gives an upper bound.
 
-A ``ClusteredSample`` numbers its cluster labels in one dict pass and builds
+A ``ClusteredSample`` numbers its cluster labels in one dict pass (which
+``from_pairs`` feeds straight from the pairs; ``iid`` numbers the
+observations with no dict pass) and builds
 its cluster spec and ECDF once, at construction, and stores them beside
 read-only arrays, so every test on the sample reuses them and instances stay
 immutable and safe to share.  Everything here is pure and safe to call
@@ -75,10 +78,6 @@ class ClusteredSample:
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64)
         labels = self.cluster_ids
-        if values.ndim != 1:
-            raise DomainError(f"values must be a 1-d sequence, got shape {values.shape}")
-        if not values.size:
-            raise DomainError("sample must be nonempty")
         try:
             n_labels = len(labels)
         except TypeError:
@@ -87,18 +86,33 @@ class ClusteredSample:
             ) from None
         if values.size != n_labels:
             raise DomainError(f"{values.size} values but {n_labels} cluster labels")
+        self._build(values, labels)
+
+    def _build(self, values: np.ndarray, labels: Iterable[Hashable] | None) -> None:
+        """Check ``values`` (float64, owned by this sample), number ``labels`` and store both.
+
+        ``labels`` yields one label per value; ``None`` makes each observation
+        its own cluster, numbered like ``range(n)`` without a dict pass.
+        """
+        if values.ndim != 1:
+            raise DomainError(f"values must be a 1-d sequence, got shape {values.shape}")
+        if not values.size:
+            raise DomainError("sample must be nonempty")
         finite = np.isfinite(values)
         if not finite.all():
             bad = float(values[np.argmin(finite)])
             raise DomainError(f"observation values must be finite, got {bad}")
-        # one dict pass: a label's first lookup misses and takes the next code, so
-        # codes number the labels in first-appearance order, which keeps the size
-        # list deterministic under relabeling
-        index = defaultdict(itertools.count().__next__)
-        try:
-            codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=values.size)
-        except TypeError as exc:
-            raise DomainError(f"cluster labels must be hashable: {exc}") from None
+        if labels is None:
+            codes = np.arange(values.size, dtype=np.intp)
+        else:
+            # one dict pass: a label's first lookup misses and takes the next code, so
+            # codes number the labels in first-appearance order, which keeps the size
+            # list deterministic under relabeling
+            index = defaultdict(itertools.count().__next__)
+            try:
+                codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=values.size)
+            except TypeError as exc:
+                raise DomainError(f"cluster labels must be hashable: {exc}") from None
         for array in (values, codes):
             array.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -107,18 +121,30 @@ class ClusteredSample:
         object.__setattr__(self, "_ecdf", StepCdf.empirical(values))
 
     @classmethod
+    def _built(cls, values: np.ndarray, labels: Iterable[Hashable] | None) -> "ClusteredSample":
+        sample = object.__new__(cls)
+        sample._build(values, labels)
+        return sample
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, Hashable]]) -> "ClusteredSample":
-        pairs = list(pairs)
-        return cls(
-            values=np.fromiter(map(itemgetter(0), pairs), dtype=np.float64, count=len(pairs)),
-            cluster_ids=list(map(itemgetter(1), pairs)),
-        )
+        """Sample from ``(value, label)`` pairs; the labels go straight into the dict pass."""
+        if not isinstance(pairs, (list, tuple)):
+            pairs = list(pairs)
+        values = np.fromiter(map(itemgetter(0), pairs), dtype=np.float64, count=len(pairs))
+        return cls._built(values, map(itemgetter(1), pairs))
 
     @classmethod
     def iid(cls, values: Iterable[float]) -> "ClusteredSample":
-        """Each observation its own cluster (effective sample size = n)."""
-        values = np.fromiter(values, dtype=np.float64)
-        return cls(values=values, cluster_ids=range(values.size))
+        """Each observation its own cluster (effective sample size = n).
+
+        The codes, sizes and ECDF equal those of ``cluster_ids=range(n)``.
+        """
+        if isinstance(values, np.ndarray):
+            values = np.array(values, dtype=np.float64)
+        else:
+            values = np.fromiter(values, dtype=np.float64)
+        return cls._built(values, None)
 
     @property
     def n(self) -> int:
@@ -208,38 +234,75 @@ def sup_distance_two_sample(f: StepCdf, g: StepCdf, side: TailSide) -> float:
     """Exact sup over the reals of |F - G| (or its signed positive/negative part).
 
     F - G is piecewise constant with breakpoints at the union of the jump
-    points and value 0 outside the pooled data range, so the max over the
-    union points (together with the floor at 0) is the exact supremum.  The
-    union is covered without a merge, as F's heights minus G at F's jumps
-    and F at G's jumps minus G's heights.
+    points and value 0 outside the pooled data range, so the exact supremum
+    is a max over finitely many values, floored at 0.  Only G's jumps y_j are
+    needed.  On [y_j, y_{j+1}) G is constant at its height G_j and F is
+    nondecreasing, so F - G is smallest at y_j and largest just before
+    y_{j+1}: the negative part is -min_j (F(y_j) - G_j) and the positive part
+    max_j (F(y_j-) - G_{j-1}), with G_{-1} = 0.  Before G's first jump
+    F - G >= 0, after its last F - G <= 0, and the floor covers both.
 
-    One binary search places G's jumps among F's; G at F's jumps then comes
-    from counting, not from a second search.  The count of G's jumps at or
-    below each F jump indexes G's heights exactly as a search of G would, so
-    every difference is the same subtraction of the same two floats.
+    One binary search places G's jumps among F's; it gives the rank of F at
+    each y_j, and the left-limit rank is that rank minus one wherever F also
+    jumps at y_j.  Buffers are reused, so at most three arrays as long as G's
+    jumps are alive at once.
+
+    The result equals, bit for bit, the extremes over the union of the jump
+    points: F's heights minus G at F's jumps together with F at G's jumps
+    minus G's heights.  The minimum keeps the second set alone; each term of
+    the first is at least one of them, since it subtracts the same G height
+    from an F height no smaller.  For the maximum, each candidate is one of
+    the old terms (at F's last jump in [y_{j-1}, y_j), or at y_{j-1} when F
+    has none there) or +0.0 (before y_0, if F has no jump there either), and
+    every old term is at most one candidate, since it subtracts the same G
+    height from an F height no larger, or is at most 0 past G's last jump.
+    Rounding is monotone, so both extremes are the same floats.
     """
-    m = f.jump_points.size
+    # one buffer holds every difference; np.take fills it in place only when
+    # given a mode (with the default "raise" it writes through a copy)
+    diff = np.empty(g.jump_points.size)
     ranks = np.searchsorted(f.jump_points, g.jump_points, side="right")
-    at_g = f._padded[ranks] - g.values
-    # G's jumps strictly below each F jump, plus one where the F jump is a G jump;
-    # a rank of 0 wraps to F's last jump, which cannot equal a G jump below F's first
-    below = np.cumsum(np.bincount(ranks, minlength=m + 1)[:m])
-    below[ranks[f.jump_points[ranks - 1] == g.jump_points] - 1] += 1
-    at_f = f.values - g._padded[below]
-    plus = max(float(max(np.max(at_f), np.max(at_g))), 0.0)
+    np.take(f._padded, ranks, out=diff, mode="wrap")
+    diff -= g.values
     # a zero minimum gives -0.0 here, as the maximum of -(F - G) would
-    minus = max(-float(min(np.min(at_f), np.min(at_g))), 0.0)
+    minus = max(-float(np.min(diff)), 0.0)
+    # F's last jump at or below each y_j; a rank of 0 wraps to F's last jump,
+    # which cannot equal a G jump below F's first
+    ranks -= 1
+    np.take(f.jump_points, ranks, out=diff, mode="wrap")
+    # adding one back where F does not jump at y_j gives the rank of F(y_j-)
+    ranks += diff != g.jump_points
+    np.take(f._padded, ranks, out=diff, mode="wrap")
+    diff -= g._padded[:-1]
+    plus = max(float(np.max(diff)), 0.0)
     return _pick_side(side, plus, minus)
 
 
+# points per chunk when a scalar-only reference CDF is called point by point
+_REFERENCE_CHUNK = 2**14
+
+
 def _reference_values(ref_cdf: Callable, pts: np.ndarray) -> np.ndarray:
+    """``ref_cdf`` at every point of ``pts``, as a float64 array.
+
+    The whole array is tried first.  A reference that refuses it, or answers
+    in another shape, is called once per point, in order, with Python floats;
+    the points are converted and the answers collected in bounded chunks
+    written into one array, so no list of every point is ever built.
+    """
     try:
         out = np.asarray(ref_cdf(pts), dtype=float)
         if out.shape == pts.shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.fromiter(map(ref_cdf, pts.tolist()), dtype=float, count=pts.size)
+    out = np.empty(pts.size)
+    for start in range(0, pts.size, _REFERENCE_CHUNK):
+        chunk = pts[start : start + _REFERENCE_CHUNK].tolist()
+        out[start : start + len(chunk)] = np.fromiter(
+            map(ref_cdf, chunk), dtype=float, count=len(chunk)
+        )
+    return out
 
 
 def sup_distance_reference(

@@ -894,3 +894,19 @@ class TestReferenceOptionsBeforeIngest:
 
 if __name__ == "__main__":
     record_cli_matrix()
+
+
+class TestSingleColumnIngest:
+    def test_matches_row_number_labels(self, tmp_path):
+        from bvconc.empirical import ecdf
+
+        values = [0.5, 0.25, 0.5, 1.0, 0.25, 0.75]
+        text = "value\n" + "".join(f"{v!r}\n" for v in values)
+        sample = ingest_clustered_csv(write(tmp_path, "v.csv", text))
+        want = ClusteredSample(values=values, cluster_ids=range(2, len(values) + 2))
+        assert sample.values.tobytes() == want.values.tobytes()
+        assert sample.cluster_ids.tobytes() == want.cluster_ids.tobytes()
+        assert sample.cluster_spec().sizes == want.cluster_spec().sizes
+        assert ecdf(sample).jump_points.tobytes() == ecdf(want).jump_points.tobytes()
+        assert ecdf(sample).values.tobytes() == ecdf(want).values.tobytes()
+        assert not sample.values.flags.writeable and not sample.cluster_ids.flags.writeable

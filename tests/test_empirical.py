@@ -1,6 +1,7 @@
 """Exactness of sup statistics against brute-force oracles, plus panel bounds."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bvconc.bounds import TailSide
 from bvconc.empirical import (
+    _REFERENCE_CHUNK,
     ClusteredSample,
     StepCdf,
     TrajectoryPanel,
@@ -17,6 +19,7 @@ from bvconc.empirical import (
     lipschitz_sup_interval,
     sup_distance_reference,
     sup_distance_two_sample,
+    _reference_values,
 )
 from bvconc.errors import DataFormatError, DomainError, LipschitzConsistencyError
 
@@ -637,3 +640,147 @@ class TestSupDistanceTwoSampleOneSearch:
     def test_small_lattice_samples(self, xs, ys):
         # thirteen lattice points make jumps shared by both samples common
         assert_one_search_matches(iid_ecdf(np.array(xs) / 4.0), iid_ecdf(np.array(ys) / 4.0))
+
+
+def scalar_normal_cdf(x):
+    """Standard normal CDF that only takes scalars: ``math.erf`` refuses an array."""
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+CHUNKED_POINTS = 2**15 + 7  # two full chunks of 2**14 points and a remainder
+
+
+class TestChunkedReferenceFallback:
+    """A scalar-only reference is called point by point, in chunks, into one array."""
+
+    def points(self):
+        assert CHUNKED_POINTS > 2 * _REFERENCE_CHUNK and CHUNKED_POINTS % _REFERENCE_CHUNK
+        return np.linspace(-4.0, 4.0, CHUNKED_POINTS)
+
+    def test_matches_per_point_calls_and_logs_every_call(self):
+        pts = self.points()
+        calls = []
+
+        def ref(x):
+            value = scalar_normal_cdf(x)  # raises before logging on the whole-array attempt
+            calls.append(x)
+            return value
+
+        got = _reference_values(ref, pts)
+        want = np.array([scalar_normal_cdf(x) for x in pts.tolist()])
+        assert got.dtype == np.float64 and got.shape == pts.shape
+        assert got.tobytes() == want.tobytes()
+        assert calls == pts.tolist()
+        assert all(type(x) is float for x in calls)
+
+    @pytest.mark.parametrize("at", [2 * _REFERENCE_CHUNK, CHUNKED_POINTS - 1])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (1.5, r"must lie in \[0, 1\]"),
+            (-0.5, r"must lie in \[0, 1\]"),
+            (math.nan, r"must lie in \[0, 1\]"),
+            ("drop", "must be nondecreasing"),
+        ],
+    )
+    def test_fault_in_the_last_chunk_is_seen(self, at, bad, message):
+        # "at" is the first or the last point of the last chunk; "drop" falls to 0
+        f = StepCdf.empirical(self.points())
+        target = f.jump_points[at]
+        value = 0.0 if bad == "drop" else bad
+
+        def ref(x):
+            return value if x == target else scalar_normal_cdf(x)
+
+        with pytest.raises(DomainError, match=message):
+            sup_distance_reference(f, ref, TailSide.TWO_SIDED)
+
+    def test_peak_memory_is_bounded(self):
+        pts = np.linspace(-4.0, 4.0, 2**18)
+        tracemalloc.start()
+        try:
+            _reference_values(scalar_normal_cdf, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 result per point plus a bounded chunk; a Python float for
+        # every point would need about 40 bytes each
+        assert peak < 12 * pts.size + 2 * 2**20
+
+
+def assert_same_sample(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.cluster_ids.dtype == want.cluster_ids.dtype == np.intp
+    assert got.cluster_ids.tobytes() == want.cluster_ids.tobytes()
+    assert got.cluster_spec().sizes == want.cluster_spec().sizes
+    assert all(type(size) is int for size in got.cluster_spec().sizes)
+    assert ecdf(got).jump_points.tobytes() == ecdf(want).jump_points.tobytes()
+    assert ecdf(got).values.tobytes() == ecdf(want).values.tobytes()
+    for array in (got.values, got.cluster_ids):
+        assert not array.flags.writeable
+
+
+class TestSampleBuildPaths:
+    """``from_pairs`` and ``iid`` build the sample the public constructor builds."""
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.3, "b"), (0.1, "a"), (0.3, "b"), (0.7, "c")],
+            [(0.5, "only")],
+            [(0.1, 1), (0.2, 1.0), (0.3, True), (0.4, "1")],  # 1, 1.0 and True: one cluster
+        ],
+    )
+    def test_from_pairs_matches_constructor(self, pairs):
+        want = ClusteredSample(values=[v for v, _ in pairs], cluster_ids=[c for _, c in pairs])
+        for given_pairs in (pairs, tuple(pairs), iter(pairs), (pair for pair in pairs)):
+            assert_same_sample(ClusteredSample.from_pairs(given_pairs), want)
+
+    def test_empty_input(self):
+        for build in (
+            lambda: ClusteredSample(values=[], cluster_ids=[]),
+            lambda: ClusteredSample.from_pairs([]),
+            lambda: ClusteredSample.from_pairs(iter(())),
+            lambda: ClusteredSample.iid([]),
+            lambda: ClusteredSample.iid(np.array([])),
+        ):
+            with pytest.raises(DomainError, match="^sample must be nonempty$"):
+                build()
+
+    def test_nan_value_and_unhashable_label(self):
+        nan = "^observation values must be finite, got nan$"
+        unhashable = "^cluster labels must be hashable: unhashable type: 'list'$"
+        for values, labels, message in (
+            ([0.1, math.nan], ["a", "b"], nan),
+            ([0.1, 0.2], ["a", ["b"]], unhashable),
+            ([0.1, math.nan], ["a", ["b"]], nan),  # the values are checked first
+        ):
+            with pytest.raises(DomainError, match=message):
+                ClusteredSample(values=values, cluster_ids=labels)
+            with pytest.raises(DomainError, match=message):
+                ClusteredSample.from_pairs(zip(values, labels))
+        with pytest.raises(DomainError, match=nan):
+            ClusteredSample.iid([0.1, math.nan])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 1000])
+    def test_iid_matches_range_labels(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, 7, size=n) / 4.0  # ties on a small lattice
+        want = ClusteredSample(values=values, cluster_ids=range(n))
+        for given_values in (values, values.tolist(), iter(values.tolist())):
+            assert_same_sample(ClusteredSample.iid(given_values), want)
+        narrow = values.astype(np.float32)
+        assert_same_sample(
+            ClusteredSample.iid(narrow), ClusteredSample(values=narrow, cluster_ids=range(n))
+        )
+
+    def test_iid_copies_the_callers_array(self):
+        matrix = np.array([[0.3, 9.0], [0.1, 9.0]])
+        sample = ClusteredSample.iid(matrix[:, 0])  # a strided view
+        matrix[0, 0] = 5.0
+        assert sample.values.tolist() == [0.3, 0.1]
+        assert sample.values.flags.c_contiguous
+
+    def test_iid_rejects_a_2d_array(self):
+        with pytest.raises(DomainError, match=r"values must be a 1-d sequence, got shape \(2, 2\)"):
+            ClusteredSample.iid(np.zeros((2, 2)))
