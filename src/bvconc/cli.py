@@ -17,6 +17,11 @@ one-to-one onto the library API::
 The argparse parser is the only command table: each command's subparser
 names its handler, which reads the parsed options and returns the payload.
 
+The two-file commands (``kstest two-sample`` and ``kstest lipschitz``) read
+both files at once where ``os.fork`` exists: a forked child reads ``--g``
+while this process reads ``--f``, and the results, messages and exit codes
+are those of reading them in order, ``--f``'s fault first.
+
 Results go to stdout (or ``--out``); every diagnostic goes to stderr.  Exit
 codes: 0 success, 2 domain or validation error, 1 I/O error.  JSON output
 uses shortest round-trip float formatting, so re-parsing reproduces every
@@ -32,8 +37,9 @@ Input CSV schemas (exact headers):
 
 Both share the dialect ``csv.reader`` reads by default: UTF-8, comma-separated,
 ``"`` quoting (quoted cells may hold commas, line breaks and ``""``); blank
-lines are skipped; every cell is stripped; numbers use Python ``float()``
-grammar and must be finite; cluster labels may not be empty.  Errors name
+lines are skipped; every cell is stripped; no cell is longer than
+``csv.field_size_limit()``; numbers use Python ``float()`` grammar and must be
+finite; cluster labels may not be empty.  Errors name
 the first bad row (and column), counting non-blank records with the header
 as row 1.  Two readers implement this dialect.  The fast one takes the header
 as the first ``csv.reader`` record and has numpy's C reader parse the rest
@@ -45,13 +51,19 @@ file, and it either returns the same arrays or names the first fault.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
+import pickle
+import signal
+import stat
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -64,7 +76,7 @@ from .bounds import (
     tail_bound,
     tail_bound_raw,
 )
-from .empirical import ClusteredSample, TrajectoryPanel
+from .empirical import ClusteredSample, TrajectoryPanel, _label_codes
 from .errors import BvconcError, DataFormatError, DomainError
 from .kstests import (
     DEFAULT_ALPHAS,
@@ -135,6 +147,52 @@ def _records(path: str, fh: TextIO) -> Iterator[list[str]]:
             yield row
     except csv.Error as exc:  # a cell over csv.field_size_limit()
         raise DataFormatError(f"{path}: row {row_no + 1}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # decoded a chunk ahead of the rows, so no row is named
+        bad = exc.object[exc.start]
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason} (byte 0x{bad:02x})") from exc
+
+
+# bytes of each block that the long-cell check reads first; rows are rarely longer
+_LONG_CELL_PROBE = 1 << 13
+
+
+def _may_hold_long_cell(path: str, fh: TextIO) -> bool:
+    """Whether ``path``, open as ``fh``, may hold a cell longer than ``csv.field_size_limit()``.
+
+    Such a cell, unquoted or quoted on one line, lies in a run of more bytes
+    than the limit with no line feed; a number quoted across lines lies in one
+    with no comma and no quote.  Either run covers a whole aligned block of
+    half the limit plus one bytes, so a block whose first
+    ``_LONG_CELL_PROBE`` bytes hold a line feed and a comma is cleared; any
+    other is read whole, and one with no comma and no quote counts only if
+    the file holds a quote.  The blocks are read through a second handle: a
+    memory map would add the whole file to the resident set.  A file that is
+    not regular (a pipe) cannot be read twice and is not checked.
+    """
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return False
+    block = csv.field_size_limit() // 2 + 1
+    with open(path, "rb", buffering=0) as raw:
+
+        def read(start: int, size: int) -> bytes:
+            raw.seek(start)
+            return raw.read(size)
+
+        size = os.fstat(raw.fileno()).st_size
+        quoted = None
+        for start in range(0, size - block + 1, block):
+            head = read(start, _LONG_CELL_PROBE)
+            if b"\n" in head and b"," in head:
+                continue
+            data = read(start, block)
+            if b"\n" not in data:
+                return True
+            if b"," not in data and b'"' not in data:
+                if quoted is None:
+                    quoted = any(b'"' in read(at, block) for at in range(0, size, block))
+                if quoted:
+                    return True
+    return False
 
 
 def _read_reference(path: str, check_header: HeaderCheck) -> tuple[list[str], np.ndarray, list[str]]:
@@ -179,9 +237,10 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
     Its float grammar is a subset of ``float(cell.strip())`` and correctly
     rounded, so every number it reads has the reference's bits.  Anything it
     cannot read whole (a ragged row, a cell outside its grammar, a non-finite
-    number, an empty label, a label over ``csv.field_size_limit()``, no data
+    number, an empty label, a cell over ``csv.field_size_limit()``, no data
     rows) is re-read by :func:`_read_reference`, which returns the table or
-    names the first fault.  The file is opened with ``newline=""`` so line
+    names the first fault; a file that :func:`_may_hold_long_cell` goes there
+    unread.  The file is opened with ``newline=""`` so line
     ends inside quoted cells stay verbatim.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -190,6 +249,8 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
             return _read_reference(path, check_header)
         header = [cell.strip() for cell in header]
         numeric = check_header(path, header)
+        if _may_hold_long_cell(path, fh):  # loadtxt has no field size limit; the reference reports one
+            return _read_reference(path, check_header)
         labelled = numeric < len(header)  # the one labelled layout is value,cluster
         try:
             with warnings.catch_warnings():
@@ -220,20 +281,34 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
     return header, numbers, labels
 
 
-def _ingest_clustered(path: str) -> tuple[ClusteredSample, tuple[str, ...]]:
-    header, numbers, clusters = _read_table(path, _clustered_header)
-    values = numbers[:, 0]
+def _clustered_arrays(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The values of a clustered CSV and its labels' first-appearance codes (``None`` if iid)."""
+    header, numbers, labels = _read_table(path, _clustered_header)
+    values = numbers[:, 0].copy()
     if len(header) == 1:
-        notes = (
-            f"{path}: no cluster column; treating each observation as its own cluster (iid)",
-        )
-        return ClusteredSample.iid(values), notes
-    return ClusteredSample(values=values, cluster_ids=clusters), ()
+        return values, None
+    return values, _label_codes(labels, values.size)
 
 
-def _ingest_clustered_files(*paths: str) -> tuple[list[ClusteredSample], tuple[str, ...]]:
-    """Ingest clustered CSVs in order, then print all their notes to stderr once."""
-    loaded = [_ingest_clustered(path) for path in paths]
+def _clustered_sample(
+    path: str, arrays: tuple[np.ndarray, np.ndarray | None]
+) -> tuple[ClusteredSample, tuple[str, ...]]:
+    """The sample built from :func:`_clustered_arrays`, with no second dict pass, and its notes."""
+    values, codes = arrays
+    notes = ()
+    if codes is None:
+        notes = (f"{path}: no cluster column; treating each observation as its own cluster (iid)",)
+    return ClusteredSample._built(values, None, codes), notes
+
+
+def _ingest_clustered(path: str) -> tuple[ClusteredSample, tuple[str, ...]]:
+    return _clustered_sample(path, _clustered_arrays(path))
+
+
+def _with_notes(
+    loaded: Sequence[tuple[ClusteredSample, tuple[str, ...]]],
+) -> tuple[list[ClusteredSample], tuple[str, ...]]:
+    """The ingested samples and all their notes, which go to stderr once, in file order."""
     notes = tuple(note for _, file_notes in loaded for note in file_notes)
     for note in notes:
         print(note, file=sys.stderr)
@@ -242,17 +317,99 @@ def _ingest_clustered_files(*paths: str) -> tuple[list[ClusteredSample], tuple[s
 
 def ingest_clustered_csv(path: str) -> ClusteredSample:
     """Load a ``value,cluster`` CSV; single-column files degrade to iid with a stderr notice."""
-    (sample,), _ = _ingest_clustered_files(path)
+    (sample,), _ = _with_notes([_ingest_clustered(path)])
     return sample
 
 
-def ingest_trajectory_csv(path: str, k_lip: float) -> TrajectoryPanel:
-    """Load a ``time,unit_1,...,unit_n`` CSV into a consistency-checked panel."""
-    _, matrix, _ = _read_table(path, _panel_header)
+def _panel_matrix(path: str) -> np.ndarray:
+    """The numeric cells of a trajectory CSV, one row per time, as a C-ordered 2-d array."""
+    return _read_table(path, _panel_header)[1]
+
+
+def _panel(path: str, matrix: np.ndarray, k_lip: float) -> TrajectoryPanel:
+    """The consistency-checked panel over a :func:`_panel_matrix`; its errors name ``path``."""
     try:
         return TrajectoryPanel(times=matrix[:, 0], unit_values=matrix[:, 1:].T, k_lip=k_lip)
     except DataFormatError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+def ingest_trajectory_csv(path: str, k_lip: float) -> TrajectoryPanel:
+    """Load a ``time,unit_1,...,unit_n`` CSV into a consistency-checked panel."""
+    return _panel(path, _panel_matrix(path), k_lip)
+
+
+Loaded = TypeVar("Loaded")
+Built = TypeVar("Built")
+
+
+def _send_loaded(load: Callable[[str], object], path: str, read_fd: int, write_fd: int) -> None:
+    """In a forked child: pickle ``load(path)``, or the typed error it raised, to ``write_fd``.
+
+    It writes nothing else anywhere and never returns: it ends in
+    ``os._exit``, with no atexit handler or buffer flush, and with status 1
+    and no complete result on any other failure.
+    """
+    code = 1
+    try:
+        os.close(read_fd)
+        sys.stdout = sys.stderr = None  # print() and warnings then write nothing
+        try:
+            result = (load(path), None)
+        except (BvconcError, OSError) as exc:
+            result = (None, exc)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=5)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _load_both(
+    load: Callable[[str], Loaded], build: Callable[[str, Loaded], Built], f: str, g: str
+) -> tuple[Built, Built]:
+    """``build(path, load(path))`` for ``f``, then for ``g``, with ``g`` loaded at the same time.
+
+    A forked child runs ``load(g)`` while this process loads and builds ``f``,
+    and sends back through one pipe only what ``load`` returns (numpy arrays)
+    or the typed error it raised, pickled with protocol 5; ``g`` is built
+    here, from the same arrays the serial order would give.  ``f``'s whole
+    pipeline finishes before anything from ``g`` is raised, so errors come in
+    file order.  If the child ends without a result, ``g`` is loaded here.
+    This process always reaps the child, killing it first if its own work
+    fails or is interrupted.  Where ``os.fork`` does not exist, or no process
+    can be started, the two run in order.
+    """
+    pid = -1
+    if hasattr(os, "fork"):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
+        return build(f, load(f)), build(g, load(g))
+    if pid == 0:
+        _send_loaded(load, g, read_fd, write_fd)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            built_f = build(f, load(f))
+            try:
+                loaded, error = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child ended without a result
+                loaded, error = load(g), None
+        if error is not None:
+            raise error
+        return built_f, build(g, loaded)
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +486,7 @@ def _run_critical(ns: argparse.Namespace) -> dict:
 def _run_ks_one_sample(ns: argparse.Namespace) -> dict:
     # built before the file is read, so a bad --ref-loc or --ref-scale is reported first
     ref = _make_ref(ns)
-    (sample,), notes = _ingest_clustered_files(ns.data)
+    (sample,), notes = _with_notes([_ingest_clustered(ns.data)])
     outcome = one_sample_clustered(sample, ref, ns.side, ns.alpha, notes=notes)
     spec = sample.cluster_spec()
     return _ks_payload(
@@ -343,7 +500,7 @@ def _run_ks_one_sample(ns: argparse.Namespace) -> dict:
 
 
 def _run_ks_two_sample(ns: argparse.Namespace) -> dict:
-    (sample_f, sample_g), notes = _ingest_clustered_files(ns.f, ns.g)
+    (sample_f, sample_g), notes = _with_notes(_load_both(_clustered_arrays, _clustered_sample, ns.f, ns.g))
     outcome = two_sample_clustered(sample_f, sample_g, ns.side, ns.alpha, notes=notes)
     return _ks_payload(
         outcome,
@@ -355,8 +512,7 @@ def _run_ks_two_sample(ns: argparse.Namespace) -> dict:
 
 
 def _run_lipschitz(ns: argparse.Namespace) -> dict:
-    panel_f = ingest_trajectory_csv(ns.f, ns.k_lip)
-    panel_g = ingest_trajectory_csv(ns.g, ns.k_lip)
+    panel_f, panel_g = _load_both(_panel_matrix, partial(_panel, k_lip=ns.k_lip), ns.f, ns.g)
     outcome = lipschitz_two_sample(panel_f, panel_g, ns.alpha, exhaustive_grid=ns.grid_exhaustive)
     return _ks_payload(
         outcome,

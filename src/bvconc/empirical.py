@@ -29,7 +29,8 @@ constant of the difference (2K) gives an upper bound.
 
 A ``ClusteredSample`` numbers its cluster labels in one dict pass (which
 ``from_pairs`` feeds straight from the pairs; ``iid`` numbers the
-observations with no dict pass) and builds
+observations with no dict pass, and the CLI hands over the codes of the
+pass it made while reading a file) and builds
 its cluster spec and ECDF once, at construction, and stores them beside
 read-only arrays, so every test on the sample reuses them and instances stay
 immutable and safe to share.  Everything here is pure and safe to call
@@ -61,6 +62,19 @@ __all__ = [
 ]
 
 
+def _label_codes(labels: Iterable[Hashable], n: int) -> np.ndarray:
+    """The ``n`` labels numbered in order of first appearance, as ``intp`` codes, in one dict pass.
+
+    A label's first lookup misses and takes the next code, which keeps the
+    size list deterministic under relabeling.
+    """
+    index = defaultdict(itertools.count().__next__)
+    try:
+        return np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=n)
+    except TypeError as exc:
+        raise DomainError(f"cluster labels must be hashable: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ClusteredSample:
     """Real-valued observations tagged with the cluster they belong to.
@@ -88,11 +102,18 @@ class ClusteredSample:
             raise DomainError(f"{values.size} values but {n_labels} cluster labels")
         self._build(values, labels)
 
-    def _build(self, values: np.ndarray, labels: Iterable[Hashable] | None) -> None:
+    def _build(
+        self,
+        values: np.ndarray,
+        labels: Iterable[Hashable] | None,
+        codes: np.ndarray | None = None,
+    ) -> None:
         """Check ``values`` (float64, owned by this sample), number ``labels`` and store both.
 
         ``labels`` yields one label per value; ``None`` makes each observation
         its own cluster, numbered like ``range(n)`` without a dict pass.
+        ``codes``, when given, are the labels already numbered by
+        :func:`_label_codes` (``labels`` is then ignored), so no dict pass runs.
         """
         if values.ndim != 1:
             raise DomainError(f"values must be a 1-d sequence, got shape {values.shape}")
@@ -102,17 +123,10 @@ class ClusteredSample:
         if not finite.all():
             bad = float(values[np.argmin(finite)])
             raise DomainError(f"observation values must be finite, got {bad}")
-        if labels is None:
+        if codes is None and labels is None:
             codes = np.arange(values.size, dtype=np.intp)
-        else:
-            # one dict pass: a label's first lookup misses and takes the next code, so
-            # codes number the labels in first-appearance order, which keeps the size
-            # list deterministic under relabeling
-            index = defaultdict(itertools.count().__next__)
-            try:
-                codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=values.size)
-            except TypeError as exc:
-                raise DomainError(f"cluster labels must be hashable: {exc}") from None
+        elif codes is None:
+            codes = _label_codes(labels, values.size)
         for array in (values, codes):
             array.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -121,9 +135,14 @@ class ClusteredSample:
         object.__setattr__(self, "_ecdf", StepCdf.empirical(values))
 
     @classmethod
-    def _built(cls, values: np.ndarray, labels: Iterable[Hashable] | None) -> "ClusteredSample":
+    def _built(
+        cls,
+        values: np.ndarray,
+        labels: Iterable[Hashable] | None,
+        codes: np.ndarray | None = None,
+    ) -> "ClusteredSample":
         sample = object.__new__(cls)
-        sample._build(values, labels)
+        sample._build(values, labels, codes)
         return sample
 
     @classmethod
@@ -168,24 +187,34 @@ class StepCdf:
     def __post_init__(self) -> None:
         jumps = np.asarray(self.jump_points, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "jump_points", jumps)
-        object.__setattr__(self, "values", vals)
-        if jumps.ndim != 1 or vals.shape != jumps.shape or jumps.size == 0:
+        # values of another rank go to the shape check unpadded
+        self._store(jumps, np.concatenate(([0.0], vals)) if vals.ndim == 1 else vals)
+
+    def _store(self, jumps: np.ndarray, padded: np.ndarray) -> None:
+        """Check the jumps and the heights behind ``padded``'s leading 0, then keep both.
+
+        ``padded`` becomes this CDF's own array; the heights are stored once,
+        as a read-only view behind the leading 0.
+        """
+        if jumps.ndim != 1 or padded.shape != (jumps.size + 1,) or jumps.size == 0:
             raise DomainError("jump points and values must be equal-length 1-d arrays")
+        vals = padded[1:]  # checked here; the stored view is taken once padded is read-only
         if not np.all(np.isfinite(jumps)):
             raise DomainError("jump points must be finite")
-        if np.any(np.diff(jumps) <= 0):
+        # shifted views, not np.diff: for finite doubles a difference is <= 0 (< 0)
+        # exactly when the pair compares so, with no full-size float temporary and no
+        # overflow warning for huge differences
+        if np.any(jumps[1:] <= jumps[:-1]):
             raise DomainError("jump points must be strictly increasing")
-        if np.any(np.diff(vals) < 0):
+        if np.any(vals[1:] < vals[:-1]):
             raise DomainError("step values must be nondecreasing")
         if vals[0] < 0 or abs(vals[-1] - 1.0) > 1e-12:
             raise DomainError("step values must rise from >= 0 to exactly 1")
-        # the heights are stored once, as a read-only view behind the leading 0;
         # adding 0.0 stores a -0.0 height as 0.0, so a zero difference of two step
         # CDFs is always +0.0 and no sign of zero rests on numpy's reduction order
-        padded = np.concatenate(([0.0], vals))
         padded += 0.0
         padded.setflags(write=False)
+        object.__setattr__(self, "jump_points", jumps)
         object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "values", padded[1:])
 
@@ -193,12 +222,19 @@ class StepCdf:
     def empirical(cls, values: np.ndarray) -> "StepCdf":
         """Empirical CDF of ``values``: jump (tie count)/n at each distinct value.
 
-        The jump points are stored read-only, like the heights.
+        The jump points are stored read-only, like the heights, which are
+        summed and scaled in place in the array the CDF keeps.
         """
         values = np.asarray(values, dtype=float)
         uniq, counts = np.unique(values, return_counts=True)
         uniq.setflags(write=False)
-        return cls(jump_points=uniq, values=np.cumsum(counts) / values.size)
+        padded = np.empty(uniq.size + 1)
+        padded[0] = 0.0
+        # summed in place as integers and divided straight into the kept array
+        np.divide(np.cumsum(counts, out=counts), values.size, out=padded[1:])
+        cdf = object.__new__(cls)
+        cdf._store(uniq, padded)
+        return cdf
 
     def __call__(self, r):
         return self.evaluate(r)

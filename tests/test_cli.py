@@ -5,11 +5,13 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bvconc.bounds import BoundParams, TailSide, tail_bound, tail_bound_raw
+from bvconc import cli
 from bvconc.cli import (
     _clustered_header,
     _ingest_clustered,
@@ -910,3 +913,377 @@ class TestSingleColumnIngest:
         assert ecdf(sample).jump_points.tobytes() == ecdf(want).jump_points.tobytes()
         assert ecdf(sample).values.tobytes() == ecdf(want).values.tobytes()
         assert not sample.values.flags.writeable and not sample.cluster_ids.flags.writeable
+
+
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 are a DataFormatError naming the file, from either reader."""
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"\xff\xfe", "invalid start byte (byte 0xff)"),
+            (b"value,cluster\n" + b"1.0,a\n" * 5000 + b"2.0,\xe9\n", "invalid continuation byte (byte 0xe9)"),
+        ],
+        ids=["bom", "past-first-chunk"],
+    )
+    def test_clustered(self, tmp_path, capsys, data, reason):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        message = f"{path}: not UTF-8 text: {reason}"
+        for read in (_read_table, _read_reference):
+            with pytest.raises(DataFormatError) as info:
+                read(str(path), _clustered_header)
+            assert str(info.value) == message
+        assert main(["kstest", "one-sample", "--data", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_panel(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"time,unit_1\n0.0,0.5\n1.0,\xc3(\n")
+        with pytest.raises(DataFormatError) as info:
+            ingest_trajectory_csv(str(path), 1.0)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid continuation byte (byte 0xc3)"
+
+
+class TestLongNumericCell:
+    """A numeric cell over ``csv.field_size_limit()`` is rejected by both readers alike."""
+
+    LIMIT = csv.field_size_limit()
+    LONG = " " * 140_000 + "1.0"
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["clean", "ragged"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"value,cluster\n{LONG},a\n2.0,b\n",
+            'value,cluster\n"' + "\n" * 140_000 + '1.0",a\n2.0,b\n',
+            f"value\n{LONG}\n2.0\n",
+            'value\n"' + " \n" * 70_000 + '1.0"\n2.0\n',
+        ],
+        ids=["unquoted", "quoted-across-lines", "single-column", "single-column-quoted"],
+    )
+    def test_clustered(self, tmp_path, capsys, text, ragged):
+        if ragged:
+            text += "3.0,c,d\n" if text.startswith("value,") else "3.0,4.0\n"
+        path = write_raw(tmp_path, "long.csv", text)
+        message = f"{path}: row 2: field larger than field limit ({self.LIMIT})"
+        for read in (_read_table, _read_reference):
+            with pytest.raises(DataFormatError) as info:
+                read(path, _clustered_header)
+            assert str(info.value) == message
+        assert main(["kstest", "one-sample", "--data", path, "--ref", "normal"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_panel(self, tmp_path):
+        path = write_raw(tmp_path, "long.csv", f"time,unit_1\n0.0,{self.LONG[2:]}\n1.0,0.5\n")
+        with pytest.raises(DataFormatError) as info:
+            ingest_trajectory_csv(path, 1.0)
+        assert str(info.value) == f"{path}: row 2: field larger than field limit ({self.LIMIT})"
+
+    def test_cell_at_the_limit_is_read(self, tmp_path):
+        cell = " " * (self.LIMIT - 3) + "1.0"
+        path = write_raw(tmp_path, "long.csv", f"value,cluster\n{cell},a\n2.0,b\n")
+        expected = (["value", "cluster"], [[1.0], [2.0]], ["a", "b"])
+        for read in (_read_table, _read_reference):
+            header, numbers, labels = read(path, _clustered_header)
+            assert (header, numbers.tolist(), labels) == expected
+
+    def test_long_line_of_short_cells_is_read(self, tmp_path):
+        units = 35_000  # about 140,000 characters a line
+        header = "time," + ",".join(f"u{u}" for u in range(units))
+        rows = "".join(f"{t}," + ",".join(["0.5"] * units) + "\n" for t in (0.0, 1.0))
+        path = write_raw(tmp_path, "wide.csv", header + "\n" + rows)
+        panel = ingest_trajectory_csv(path, 1.0)
+        assert panel.n_units == units and panel.times.tolist() == [0.0, 1.0]
+        fast = _read_table(path, cli._panel_header)
+        reference = _read_reference(path, cli._panel_header)
+        assert fast[0] == reference[0] and fast[1].tobytes() == reference[1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Two-file commands read --g in a forked child while --f is read here
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="without os.fork the files are read in order")
+
+TWO_FILE_CASES = [
+    (case_id, argv)
+    for case_id, argv in CLI_MATRIX
+    if argv[:2] in (["kstest", "two-sample"], ["kstest", "lipschitz"])
+] + [
+    ("two-sample-iid-f", ["kstest", "two-sample", "--f", "{tmp}/iid.csv", "--g", "{tmp}/u.csv"]),
+    ("two-sample-iid-both", ["kstest", "two-sample", "--f", "{tmp}/iid.csv", "--g", "{tmp}/iid.csv"]),
+    ("two-sample-bad-g", ["kstest", "two-sample", "--f", "{tmp}/f.csv", "--g", "{tmp}/bad.csv"]),
+    ("two-sample-missing-g", ["kstest", "two-sample", "--f", "{tmp}/f.csv", "--g", "{tmp}/missing.csv"]),
+]
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_main(argv):
+    """``main(argv)`` with its exit code, stdout and stderr; no child may outlive it."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert_no_child()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_serial(monkeypatch, run, *args):
+    """``run(*args)`` with ``os.fork`` removed, so both files are read here, in order."""
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        return run(*args)
+
+
+def layout(array):
+    """Everything an array handed on must share with the serial path's."""
+    flags = array.flags
+    return (
+        array.dtype.str, array.shape, array.strides, array.tobytes(),
+        flags.writeable, flags.c_contiguous, flags.f_contiguous, flags.aligned,
+    )
+
+
+def sample_layout(sample):
+    cdf = sample._ecdf
+    assert cdf.values.base is cdf._padded
+    arrays = (sample.values, sample.cluster_ids, cdf.jump_points, cdf.values, cdf._padded)
+    return [layout(array) for array in arrays] + [sample.cluster_spec().sizes]
+
+
+def panel_layout(panel):
+    shared = np.shares_memory(panel.times, panel.unit_values)
+    return [layout(panel.times), layout(panel.unit_values), panel.k_lip, shared]
+
+
+@needs_fork
+class TestForkedReadMatchesSerial:
+    """The forked read gives the serial bytes, and hands on objects laid out the same."""
+
+    @pytest.mark.parametrize("case_id, argv", TWO_FILE_CASES, ids=[case_id for case_id, _ in TWO_FILE_CASES])
+    def test_matrix_case(self, case_id, argv, matrix_dir, monkeypatch):
+        forked = run_matrix_case(argv, matrix_dir)
+        assert_no_child()
+        assert forked == run_serial(monkeypatch, run_matrix_case, argv, matrix_dir)
+
+    def test_golden_outputs(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20231)
+        f, g = str(tmp_path / "f.csv"), str(tmp_path / "g.csv")
+        write_golden_sample(f, rng, 0.0)
+        write_golden_sample(g, rng, 2.5)
+        argv = ["kstest", "two-sample", "--f", f, "--g", g]
+        expected = (GOLDEN / "kstest_two_sample.json").read_text(encoding="utf-8")
+        assert run_main(argv) == run_serial(monkeypatch, run_main, argv) == (0, expected, "")
+        rng = np.random.default_rng(20232)
+        times = (np.arange(200) + rng.uniform(0.1, 0.9, 200)) / 200
+        write_golden_panel(f, rng, times, 0.1, 0.45, 2.0)
+        write_golden_panel(g, rng, times, 0.55, 0.9, 2.0)
+        argv = ["kstest", "lipschitz", "--f", f, "--g", g, "--k-lip", "2.0"]
+        expected = (GOLDEN / "kstest_lipschitz.json").read_text(encoding="utf-8")
+        assert run_main(argv) == run_serial(monkeypatch, run_main, argv) == (0, expected, "")
+
+    def handed_on(self, monkeypatch, test_name, argv):
+        """The first two arguments ``main`` hands to ``cli.<test_name>``."""
+        calls = []
+        real = getattr(cli, test_name)
+
+        def record(*args, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, test_name, record)
+        assert run_main(argv)[0] == 0
+        return calls.pop()
+
+    @pytest.mark.parametrize("f, g", [("f.csv", "g.csv"), ("iid.csv", "u.csv"), ("u.csv", "iid.csv")])
+    def test_samples_handed_on(self, f, g, matrix_dir, monkeypatch):
+        argv = ["kstest", "two-sample", "--f", str(matrix_dir / f), "--g", str(matrix_dir / g)]
+        forked = self.handed_on(monkeypatch, "two_sample_clustered", argv)
+        serial = run_serial(monkeypatch, self.handed_on, monkeypatch, "two_sample_clustered", argv)
+        assert [sample_layout(s) for s in forked] == [sample_layout(s) for s in serial]
+        for sample in forked:
+            assert not sample.values.flags.writeable and not sample.cluster_ids.flags.writeable
+
+    def test_panels_handed_on(self, matrix_dir, monkeypatch):
+        argv = ["kstest", "lipschitz", "--f", str(matrix_dir / "pa.csv"), "--g", str(matrix_dir / "pb.csv")]
+        argv += ["--k-lip", "1.0"]
+        forked = self.handed_on(monkeypatch, "lipschitz_two_sample", argv)
+        serial = run_serial(monkeypatch, self.handed_on, monkeypatch, "lipschitz_two_sample", argv)
+        assert [panel_layout(p) for p in forked] == [panel_layout(p) for p in serial]
+
+
+GOOD_SAMPLE = "value,cluster\n" + "".join(f"{i / 40!r},c{i}\n" for i in range(40))
+SAMPLE_FAULTS = {
+    "good": GOOD_SAMPLE,
+    "missing": None,
+    "ragged": "value,cluster\n1.0,a\n2.0,b,c\n",
+    "non-utf8": b"value,cluster\n1.0,\xff\xfe\n",
+    "empty-label": "value,cluster\n1.0,a\n2.0, \n",
+}
+GOOD_PANEL = "time,unit_1,unit_2\n0.0,0.2,0.4\n0.5,0.3,0.4\n1.0,0.3,0.5\n"
+PANEL_FAULTS = {
+    "good": GOOD_PANEL,
+    "missing": None,
+    "ragged": "time,unit_1\n0.0,0.5\n0.5\n",
+    "non-utf8": b"time,unit_1\n0.0,\xff\n",
+    "too-fast": "time,unit_1\n0.0,0.0\n0.5,1.0\n",
+}
+
+
+def write_fault(path: Path, content) -> str:
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    elif content is not None:
+        path.write_bytes(content)
+    return str(path)
+
+
+@needs_fork
+class TestForkedReadErrorPrecedence:
+    """Whatever the faults in ``--f`` and ``--g``, ``--f``'s is reported, as in the serial order."""
+
+    def check(self, tmp_path, monkeypatch, faults, f_kind, g_kind, argv):
+        f = write_fault(tmp_path / "f.csv", faults[f_kind])
+        g = write_fault(tmp_path / "g.csv", faults[g_kind])
+        argv = ["kstest", argv[0], "--f", f, "--g", g, *argv[1:]]
+        forked = run_main(argv)
+        assert forked == run_serial(monkeypatch, run_main, argv)
+        code, out, err = forked
+        if f_kind == g_kind == "good":
+            assert code == 0 and err == ""
+            return
+        faulty = f if f_kind != "good" else g
+        kind = f_kind if f_kind != "good" else g_kind
+        assert out == ""
+        assert code == (1 if kind == "missing" else 2)
+        assert err.startswith("io error: " if kind == "missing" else f"error: {faulty}: ")
+        assert faulty in err and (faulty == g or g not in err)
+
+    @pytest.mark.parametrize("g_kind", list(SAMPLE_FAULTS))
+    @pytest.mark.parametrize("f_kind", list(SAMPLE_FAULTS))
+    def test_two_sample(self, tmp_path, monkeypatch, f_kind, g_kind):
+        self.check(tmp_path, monkeypatch, SAMPLE_FAULTS, f_kind, g_kind, ["two-sample"])
+
+    @pytest.mark.parametrize("g_kind", list(PANEL_FAULTS))
+    @pytest.mark.parametrize("f_kind", list(PANEL_FAULTS))
+    def test_lipschitz(self, tmp_path, monkeypatch, f_kind, g_kind):
+        self.check(tmp_path, monkeypatch, PANEL_FAULTS, f_kind, g_kind, ["lipschitz", "--k-lip", "1.0"])
+
+
+def in_child_only(monkeypatch, name, action):
+    """Make ``cli.<name>`` run ``action()`` first when called in a child of this process."""
+    parent = os.getpid()
+    real = getattr(cli, name)
+
+    def load(path):
+        if os.getpid() != parent:
+            action()
+        return real(path)
+
+    monkeypatch.setattr(cli, name, load)
+
+
+def exit_now():
+    os._exit(3)
+
+
+def raise_runtime_error():
+    raise RuntimeError("child failed")
+
+
+def write_truncated_pickle(obj, file, protocol):
+    file.write(pickle.dumps(obj, protocol=protocol)[:200])
+    file.flush()
+    os._exit(0)
+
+
+TWO_FILE_COMMANDS = {
+    "two-sample": ("_clustered_arrays", ["kstest", "two-sample", "--f", "{tmp}/f.csv", "--g", "{tmp}/g.csv"]),
+    "lipschitz": (
+        "_panel_matrix",
+        ["kstest", "lipschitz", "--f", "{tmp}/pa.csv", "--g", "{tmp}/pb.csv", "--k-lip", "1.0"],
+    ),
+}
+
+
+@needs_fork
+class TestForkedReadChildEnds:
+    """A child that ends without a result, or is killed, leaves the serial output and no process."""
+
+    @pytest.mark.parametrize("command", list(TWO_FILE_COMMANDS))
+    @pytest.mark.parametrize("action", [exit_now, raise_runtime_error], ids=["exit", "unexpected-error"])
+    def test_child_ends_before_loading(self, command, action, matrix_dir, monkeypatch):
+        name, argv = TWO_FILE_COMMANDS[command]
+        serial = run_serial(monkeypatch, run_matrix_case, argv, matrix_dir)
+        in_child_only(monkeypatch, name, action)
+        assert run_matrix_case(argv, matrix_dir) == serial
+        assert_no_child()
+
+    @pytest.mark.parametrize("command", list(TWO_FILE_COMMANDS))
+    def test_child_ends_mid_write(self, command, matrix_dir, monkeypatch):
+        _, argv = TWO_FILE_COMMANDS[command]
+        serial = run_serial(monkeypatch, run_matrix_case, argv, matrix_dir)
+        monkeypatch.setattr(pickle, "dump", write_truncated_pickle)
+        assert run_matrix_case(argv, matrix_dir) == serial
+        assert_no_child()
+
+    @pytest.mark.parametrize("command", list(TWO_FILE_COMMANDS))
+    def test_child_writes_nothing(self, command, matrix_dir, monkeypatch, capfd):
+        name, argv = TWO_FILE_COMMANDS[command]
+        real = [arg.replace("{tmp}", str(matrix_dir)) for arg in argv]
+        assert run_serial(monkeypatch, main, real) == 0
+        serial = capfd.readouterr()
+
+        def chatter():
+            print("child stdout")
+            print("child stderr", file=sys.stderr)
+            warnings.warn("child warning")
+
+        in_child_only(monkeypatch, name, chatter)
+        assert main(real) == 0
+        assert capfd.readouterr() == serial
+        assert_no_child()
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, DataFormatError], ids=["interrupt", "f-error"])
+    def test_parent_failure_kills_the_child(self, interrupt, matrix_dir, monkeypatch):
+        parent = os.getpid()
+
+        def load(path):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise interrupt("stop")
+
+        monkeypatch.setattr(cli, "_clustered_arrays", load)
+        _, argv = TWO_FILE_COMMANDS["two-sample"]
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt) if interrupt is KeyboardInterrupt else nullcontext():
+            run_matrix_case(argv, matrix_dir)
+        assert time.monotonic() - start < 30
+        assert_no_child()
+
+    @pytest.mark.parametrize("command", list(TWO_FILE_COMMANDS))
+    def test_no_process_to_spare(self, command, matrix_dir, monkeypatch):
+        _, argv = TWO_FILE_COMMANDS[command]
+        serial = run_serial(monkeypatch, run_matrix_case, argv, matrix_dir)
+        opened = []
+        real_pipe = os.pipe
+
+        def pipe():
+            opened.extend(real_pipe())
+            return opened[-2], opened[-1]
+
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", refuse)
+        assert run_matrix_case(argv, matrix_dir) == serial
+        assert len(opened) == 2
+        for fd in opened:
+            with pytest.raises(OSError):
+                os.fstat(fd)

@@ -784,3 +784,85 @@ class TestSampleBuildPaths:
     def test_iid_rejects_a_2d_array(self):
         with pytest.raises(DomainError, match=r"values must be a 1-d sequence, got shape \(2, 2\)"):
             ClusteredSample.iid(np.zeros((2, 2)))
+
+
+def old_step_checks(jumps, vals):
+    """The DomainError message the np.diff checks give for finite arrays, or None."""
+    with np.errstate(over="ignore"):  # a difference of huge doubles overflows to inf
+        if np.any(np.diff(jumps) <= 0):
+            return "jump points must be strictly increasing"
+        if np.any(np.diff(vals) < 0):
+            return "step values must be nondecreasing"
+    if vals[0] < 0 or abs(vals[-1] - 1.0) > 1e-12:
+        return "step values must rise from >= 0 to exactly 1"
+    return None
+
+
+class TestStepCdfInPlaceHeights:
+    """``StepCdf.empirical`` scales its heights in the array it keeps, with the same bits."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, -1.0, 0.5, 2.0, -1.0, 0.5, 3.25],
+            [-0.0, 0.0, 1.0, -0.0],
+            [7.0],
+            list(np.random.default_rng(3).integers(0, 50, 997) / 7.0),
+            list(np.random.default_rng(4).normal(size=1001)),
+        ],
+        ids=["ties", "signed-zeros", "single", "lattice", "distinct"],
+    )
+    def test_bits_and_layout(self, values):
+        values = np.array(values)
+        uniq, counts = np.unique(values, return_counts=True)
+        heights = np.cumsum(counts) / values.size
+        built = StepCdf.empirical(values)
+        assert built.jump_points.tobytes() == uniq.tobytes()
+        assert built.values.tobytes() == (heights + 0.0).tobytes()
+        assert built._padded.tobytes() == np.concatenate(([0.0], heights + 0.0)).tobytes()
+        assert built.values.base is built._padded
+        for array in (built.jump_points, built.values, built._padded):
+            assert not array.flags.writeable
+        constructed = StepCdf(jump_points=uniq, values=heights)
+        assert constructed._padded.tobytes() == built._padded.tobytes()
+        assert constructed.values.base is constructed._padded
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.7976931348623157e308]),
+            ),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    def test_shifted_view_checks_match_diff(self, jumps, heights):
+        jumps = np.array(jumps)
+        vals = np.array(heights[: jumps.size])
+        message = old_step_checks(jumps, vals)
+        if message is None:
+            StepCdf(jump_points=jumps, values=vals)
+        else:
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                StepCdf(jump_points=jumps, values=vals)
+
+    def test_no_full_size_temporary_beyond_unique(self, monkeypatch):
+        # np.unique's own work is not StepCdf's; with its result handed over, the
+        # heights array the CDF keeps (8 MB) is the only full-size allocation
+        n = 1_000_000
+        values = np.random.default_rng(5).random(n)
+        uniq, counts = np.unique(values, return_counts=True)
+        assert uniq.size == n
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: (uniq.copy(), counts.copy()))
+        uniq_copy_and_counts = 2 * 8 * n
+        tracemalloc.start()
+        try:
+            built = StepCdf.empirical(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - uniq_copy_and_counts <= 8 * (n + 1) + 1.5 * n
+        assert built.jump_points.tobytes() == uniq.tobytes()
