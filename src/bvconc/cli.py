@@ -45,7 +45,9 @@ as row 1.  Two readers implement this dialect.  The fast one takes the header
 as the first ``csv.reader`` record and has numpy's C reader parse the rest
 straight into float64.  The reference reads every row with ``csv.reader`` and
 ``float(cell.strip())``; it runs only when the fast one cannot read the whole
-file, and it either returns the same arrays or names the first fault.
+file, and it either returns the same arrays or names the first fault.  An
+input that is not a regular file (a pipe or a FIFO) is read into memory once,
+and both readers take that copy.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -63,7 +66,7 @@ import sys
 import warnings
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -152,12 +155,17 @@ def _records(path: str, fh: TextIO) -> Iterator[list[str]]:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason} (byte 0x{bad:02x})") from exc
 
 
+def _text(raw: BinaryIO) -> TextIO:
+    """``raw`` read as the dialect's UTF-8 text, line ends inside quoted cells kept verbatim."""
+    return io.TextIOWrapper(raw, encoding="utf-8", newline="")
+
+
 # bytes of each block that the long-cell check reads first; rows are rarely longer
 _LONG_CELL_PROBE = 1 << 13
 
 
-def _may_hold_long_cell(path: str, fh: TextIO) -> bool:
-    """Whether ``path``, open as ``fh``, may hold a cell longer than ``csv.field_size_limit()``.
+def _may_hold_long_cell(path: str, data: bytes | None) -> bool:
+    """Whether ``path`` may hold a cell longer than ``csv.field_size_limit()``.
 
     Such a cell, unquoted or quoted on one line, lies in a run of more bytes
     than the limit with no line feed; a number quoted across lines lies in one
@@ -165,20 +173,18 @@ def _may_hold_long_cell(path: str, fh: TextIO) -> bool:
     half the limit plus one bytes, so a block whose first
     ``_LONG_CELL_PROBE`` bytes hold a line feed and a comma is cleared; any
     other is read whole, and one with no comma and no quote counts only if
-    the file holds a quote.  The blocks are read through a second handle: a
-    memory map would add the whole file to the resident set.  A file that is
-    not regular (a pipe) cannot be read twice and is not checked.
+    the file holds a quote.  The blocks are read from ``data``, the copy of
+    an input that is not a regular file, or else through a second handle on
+    ``path``: a memory map would add the whole file to the resident set.
     """
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        return False
     block = csv.field_size_limit() // 2 + 1
-    with open(path, "rb", buffering=0) as raw:
+    with open(path, "rb", buffering=0) if data is None else io.BytesIO(data) as raw:
 
         def read(start: int, size: int) -> bytes:
             raw.seek(start)
             return raw.read(size)
 
-        size = os.fstat(raw.fileno()).st_size
+        size = raw.seek(0, os.SEEK_END)
         quoted = None
         for start in range(0, size - block + 1, block):
             head = read(start, _LONG_CELL_PROBE)
@@ -195,15 +201,18 @@ def _may_hold_long_cell(path: str, fh: TextIO) -> bool:
     return False
 
 
-def _read_reference(path: str, check_header: HeaderCheck) -> tuple[list[str], np.ndarray, list[str]]:
+def _read_reference(
+    path: str, check_header: HeaderCheck, data: bytes | None = None
+) -> tuple[list[str], np.ndarray, list[str]]:
     """Read ``path`` row by row with ``csv.reader``; the reference the array reader must match.
 
     Returns the stripped header, the numeric cells as a 2-d float64 array
     parsed by ``float(cell.strip())``, and the stripped labels of the columns
     after them (``check_header`` returns how many leading columns are
-    numeric).  Raises on the first bad row or cell, in file order.
+    numeric).  Raises on the first bad row or cell, in file order.  ``data``,
+    when given, is the content of ``path`` already read, and is read instead.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _text(open(path, "rb") if data is None else io.BytesIO(data)) as fh:
         rows = list(_records(path, fh))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
@@ -240,17 +249,24 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
     number, an empty label, a cell over ``csv.field_size_limit()``, no data
     rows) is re-read by :func:`_read_reference`, which returns the table or
     names the first fault; a file that :func:`_may_hold_long_cell` goes there
-    unread.  The file is opened with ``newline=""`` so line
-    ends inside quoted cells stay verbatim.
+    unread.  An input that is not a regular file (a pipe or a FIFO) can be
+    read only once, so it is read into memory first, and both readers and the
+    long-cell check take that copy; their messages still name ``path``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    raw, data = open(path, "rb"), None
+    if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe or FIFO: read it once
+        with raw:
+            data = raw.read()
+        raw = io.BytesIO(data)
+    with _text(raw) as fh:
         header = next(_records(path, fh), None)
         if header is None:  # an empty file, which the reference reports
-            return _read_reference(path, check_header)
+            return _read_reference(path, check_header, data)
         header = [cell.strip() for cell in header]
         numeric = check_header(path, header)
-        if _may_hold_long_cell(path, fh):  # loadtxt has no field size limit; the reference reports one
-            return _read_reference(path, check_header)
+        # loadtxt has no field size limit; the reference reports one
+        if _may_hold_long_cell(path, data):
+            return _read_reference(path, check_header, data)
         labelled = numeric < len(header)  # the one labelled layout is value,cluster
         try:
             with warnings.catch_warnings():
@@ -266,18 +282,18 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
         except ValueError:
             body = None
     if body is None or not body.size:
-        return _read_reference(path, check_header)
+        return _read_reference(path, check_header, data)
     if labelled:
         numbers = body["value"][:, np.newaxis]
         cells = body["cluster"].tolist()
         # loadtxt has no field size limit; the reference reports a label over csv's
         if max(map(len, cells)) > csv.field_size_limit():
-            return _read_reference(path, check_header)
+            return _read_reference(path, check_header, data)
         labels = list(map(str.strip, cells))
     else:
         numbers, labels = body, []
     if numbers.shape[1] != numeric or not np.isfinite(numbers).all() or "" in labels:
-        return _read_reference(path, check_header)
+        return _read_reference(path, check_header, data)
     return header, numbers, labels
 
 

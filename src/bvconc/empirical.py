@@ -266,6 +266,11 @@ def _pick_side(side: TailSide, plus: float, minus: float) -> float:
     return max(plus, minus)
 
 
+# points per chunk when a long array is walked in bounded pieces: G's jumps in
+# the two-sample statistic, or a scalar-only reference CDF's points
+_REFERENCE_CHUNK = 2**14
+
+
 def sup_distance_two_sample(f: StepCdf, g: StepCdf, side: TailSide) -> float:
     """Exact sup over the reals of |F - G| (or its signed positive/negative part).
 
@@ -278,10 +283,10 @@ def sup_distance_two_sample(f: StepCdf, g: StepCdf, side: TailSide) -> float:
     max_j (F(y_j-) - G_{j-1}), with G_{-1} = 0.  Before G's first jump
     F - G >= 0, after its last F - G <= 0, and the floor covers both.
 
-    One binary search places G's jumps among F's; it gives the rank of F at
-    each y_j, and the left-limit rank is that rank minus one wherever F also
-    jumps at y_j.  Buffers are reused, so at most three arrays as long as G's
-    jumps are alive at once.
+    G's jumps are taken in chunks of ``_REFERENCE_CHUNK``, so no temporary is
+    longer than one chunk.  One binary search per chunk places its jumps among
+    F's; it gives the rank of F at each y_j, and the left-limit rank is that
+    rank minus one wherever F also jumps at y_j.
 
     The result equals, bit for bit, the extremes over the union of the jump
     points: F's heights minus G at F's jumps together with F at G's jumps
@@ -294,28 +299,19 @@ def sup_distance_two_sample(f: StepCdf, g: StepCdf, side: TailSide) -> float:
     height from an F height no larger, or is at most 0 past G's last jump.
     Rounding is monotone, so both extremes are the same floats.
     """
-    # one buffer holds every difference; np.take fills it in place only when
-    # given a mode (with the default "raise" it writes through a copy)
-    diff = np.empty(g.jump_points.size)
-    ranks = np.searchsorted(f.jump_points, g.jump_points, side="right")
-    np.take(f._padded, ranks, out=diff, mode="wrap")
-    diff -= g.values
+    low, high = np.inf, -np.inf
+    g_before = g._padded[:-1]  # G just before each of its jumps
+    for start in range(0, g.jump_points.size, _REFERENCE_CHUNK):
+        chunk = slice(start, start + _REFERENCE_CHUNK)
+        ys = g.jump_points[chunk]
+        ranks = np.searchsorted(f.jump_points, ys, side="right")
+        low = min(low, float(np.min(f._padded[ranks] - g.values[chunk])))
+        # F's last jump at or below y_j decides the left-limit rank; a rank of 0
+        # reads F's last jump, which cannot equal a G jump below F's first
+        ranks -= f.jump_points[ranks - 1] == ys
+        high = max(high, float(np.max(f._padded[ranks] - g_before[chunk])))
     # a zero minimum gives -0.0 here, as the maximum of -(F - G) would
-    minus = max(-float(np.min(diff)), 0.0)
-    # F's last jump at or below each y_j; a rank of 0 wraps to F's last jump,
-    # which cannot equal a G jump below F's first
-    ranks -= 1
-    np.take(f.jump_points, ranks, out=diff, mode="wrap")
-    # adding one back where F does not jump at y_j gives the rank of F(y_j-)
-    ranks += diff != g.jump_points
-    np.take(f._padded, ranks, out=diff, mode="wrap")
-    diff -= g._padded[:-1]
-    plus = max(float(np.max(diff)), 0.0)
-    return _pick_side(side, plus, minus)
-
-
-# points per chunk when a scalar-only reference CDF is called point by point
-_REFERENCE_CHUNK = 2**14
+    return _pick_side(side, max(high, 0.0), max(-low, 0.0))
 
 
 def _reference_values(ref_cdf: Callable, pts: np.ndarray) -> np.ndarray:

@@ -58,7 +58,11 @@ class KsOutcome:
 
     ``critical_at`` maps each requested level alpha to the smallest statistic
     value that would be rejected at that level, so
-    ``statistic > critical_at[alpha]`` and ``p_upper < alpha`` agree.
+    ``statistic > critical_at[alpha]`` and ``p_upper < alpha`` agree, except
+    within rounding of the edge: ``critical_at[alpha]`` is computed in
+    floating point, not found as the largest double whose ``p_upper`` is at
+    least alpha, so for a statistic within a few ulps of it the two may
+    disagree.
     ``conservative`` marks outcomes whose statistic is the upper end of a
     certified enclosure rather than an exactly attained supremum;
     ``interval`` is that enclosure, for tests that compute one.

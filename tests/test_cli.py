@@ -6,12 +6,14 @@ import json
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
-from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout, suppress
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -1287,3 +1289,99 @@ class TestForkedReadChildEnds:
         for fd in opened:
             with pytest.raises(OSError):
                 os.fstat(fd)
+
+
+# ---------------------------------------------------------------------------
+# Input that is not a regular file: a pipe or a FIFO, read once
+# ---------------------------------------------------------------------------
+
+PIPED_INPUTS = {
+    # more than a pipe's buffer, so the writer waits on the reader
+    "valid": "value,cluster\n" + "".join(f"{(i * 37) % 1000 / 1000!r},c{i % 50}\n" for i in range(8000)),
+    "malformed-cell": "value,cluster\n1.0,a\nxyz,b\n",
+    "long-cell": "value,cluster\n1.0,a\n1." + "0" * 140_000 + ",b\n",
+}
+WRITER_TIMEOUT = 30.0
+
+
+class Hung(Exception):
+    """A read that waited longer than any test input needs."""
+
+
+def feed(open_writer, data):
+    """A started thread that writes ``data`` through ``open_writer()`` and closes it."""
+
+    def write():
+        with suppress(BrokenPipeError), open_writer() as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+def run_with_alarm(argv):
+    """:func:`run_main`, failing with :class:`Hung` instead of blocking for good."""
+
+    def hung(signum, frame):
+        raise Hung(f"bvconc {' '.join(argv)} blocked for {WRITER_TIMEOUT} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, WRITER_TIMEOUT)
+    try:
+        return run_main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def without_path(outcome, path):
+    code, out, err = outcome
+    return code, out.replace(path, "<path>"), err.replace(path, "<path>")
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM to bound a blocked read")
+class TestPipedInput:
+    """A pipe or FIFO gives the regular file's exit code, stdout and stderr, named by its own path."""
+
+    @staticmethod
+    def argv(path):
+        return ["kstest", "one-sample", "--data", path, "--ref", "normal"]
+
+    def regular(self, tmp_path, name):
+        path = write_raw(tmp_path, "regular.csv", PIPED_INPUTS[name])
+        return without_path(run_main(self.argv(path)), path)
+
+    @pytest.mark.parametrize("name", list(PIPED_INPUTS))
+    def test_pipe(self, tmp_path, name):
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd to name a pipe by")
+        want = self.regular(tmp_path, name)
+        read_fd, write_fd = os.pipe()
+        writer = feed(partial(open, write_fd, "wb"), PIPED_INPUTS[name].encode("utf-8"))
+        path = f"/dev/fd/{read_fd}"
+        try:
+            got = without_path(run_with_alarm(self.argv(path)), path)
+        finally:
+            os.close(read_fd)  # a writer still waiting then sees a broken pipe
+            writer.join(WRITER_TIMEOUT)
+        assert not writer.is_alive()
+        assert got == want
+        if name != "valid":
+            assert got[0] == 2 and got[2].startswith("error: <path>: row 3")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("name", list(PIPED_INPUTS))
+    def test_fifo(self, tmp_path, name):
+        want = self.regular(tmp_path, name)
+        path = str(tmp_path / "fifo.csv")
+        os.mkfifo(path)
+        writer = feed(partial(open, path, "wb"), PIPED_INPUTS[name].encode("utf-8"))
+        try:
+            got = without_path(run_with_alarm(self.argv(path)), path)
+        finally:
+            if writer.is_alive():  # let a writer still waiting to open, or to write, end
+                os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(WRITER_TIMEOUT)
+        assert not writer.is_alive()
+        assert got == want

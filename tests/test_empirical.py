@@ -866,3 +866,96 @@ class TestStepCdfInPlaceHeights:
             tracemalloc.stop()
         assert peak - uniq_copy_and_counts <= 8 * (n + 1) + 1.5 * n
         assert built.jump_points.tobytes() == uniq.tobytes()
+
+
+CHUNK_EDGES = [  # the first and the last of G's jumps in each chunk
+    0,
+    _REFERENCE_CHUNK - 1,
+    _REFERENCE_CHUNK,
+    2 * _REFERENCE_CHUNK - 1,
+    2 * _REFERENCE_CHUNK,
+    CHUNKED_POINTS - 1,
+]
+
+
+class TestSupDistanceTwoSampleAcrossChunks:
+    """G's jumps fill two whole chunks and a remainder; F's jumps meet the chunk edges."""
+
+    ys = np.arange(CHUNKED_POINTS) / 8.0  # G's jump points, exact in binary
+
+    def g(self):
+        assert CHUNKED_POINTS > 2 * _REFERENCE_CHUNK and CHUNKED_POINTS % _REFERENCE_CHUNK
+        return iid_ecdf(self.ys)
+
+    @pytest.mark.parametrize(
+        "at",
+        [
+            CHUNK_EDGES[2:4],  # the middle chunk's first and last jump
+            CHUNK_EDGES,
+            CHUNK_EDGES[1:3],  # the last jump of one chunk and the first of the next
+            CHUNK_EDGES[3:5],
+            [CHUNK_EDGES[-1]],  # only G's last jump
+        ],
+        ids=["middle-chunk", "every-edge", "first-boundary", "second-boundary", "last-jump"],
+    )
+    def test_f_jumps_at_chunk_edges(self, at):
+        g = self.g()
+        assert_one_search_matches(iid_ecdf(self.ys[at]), g)
+        # with G's own heights F meets G at every edge: a zero difference there
+        assert_one_search_matches(StepCdf(jump_points=self.ys[at], values=g.values[at] / g.values[at[-1]]), g)
+
+    def test_extremes_lie_in_different_chunks(self):
+        # F jumps at the middle chunk's first and last G jump: the negative part is
+        # reached at the first chunk's last jump, the positive part at the remainder's first
+        g = self.g()
+        f = iid_ecdf(self.ys[CHUNK_EDGES[2:4]])
+        n, chunk = CHUNKED_POINTS, _REFERENCE_CHUNK
+        assert sup_distance_two_sample(f, g, TailSide.MINUS) == chunk / n
+        assert sup_distance_two_sample(f, g, TailSide.PLUS) == 1.0 - (2 * chunk) / n
+        assert_one_search_matches(f, g)
+
+    @pytest.mark.parametrize(
+        "start",
+        [_REFERENCE_CHUNK + 3, 2 * _REFERENCE_CHUNK, CHUNKED_POINTS],
+        ids=["inside-middle-chunk", "at-remainder", "past-every-jump"],
+    )
+    def test_g_jumps_below_f_first_jump(self, start):
+        # every G jump before F's first has rank 0, across whole chunks
+        xs = np.concatenate((self.ys[start::5], [self.ys[-1] + 1.0]))
+        assert_one_search_matches(iid_ecdf(xs), self.g())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ties_between_the_samples(self, seed):
+        # draws from one lattice share most jump points and tie within each sample
+        rng = np.random.default_rng(seed)
+        lattice = np.arange(4 * _REFERENCE_CHUNK) / 8.0
+        f = iid_ecdf(rng.choice(lattice, size=4 * _REFERENCE_CHUNK))
+        g = iid_ecdf(rng.choice(lattice, size=4 * _REFERENCE_CHUNK) + seed / 8.0)
+        for cdf in (f, g):
+            assert cdf.jump_points.size > 2 * _REFERENCE_CHUNK
+        assert np.intersect1d(f.jump_points, g.jump_points).size > _REFERENCE_CHUNK
+        assert_one_search_matches(f, g)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [ys[: CHUNKED_POINTS // 2], ys, ys[::3] - 1.0],
+        ids=["first-half", "identical", "shifted-below"],
+    )
+    def test_f_at_least_g_gives_a_zero_minus_side(self, xs):
+        g = self.g()
+        f = iid_ecdf(xs)
+        assert np.all(f.evaluate(g.jump_points) >= g.values)
+        assert sup_distance_two_sample(f, g, TailSide.MINUS) == 0.0
+        assert_one_search_matches(f, g)
+
+    def test_no_temporary_longer_than_a_chunk(self):
+        jumps = np.arange(2**18) / 8.0
+        f, g = iid_ecdf(jumps + 1.0 / 16.0), iid_ecdf(jumps)
+        tracemalloc.start()
+        try:
+            sup_distance_two_sample(f, g, TailSide.TWO_SIDED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few chunk-length arrays; one G-length float array alone is 2 MB
+        assert peak < 4 * 8 * _REFERENCE_CHUNK
