@@ -18,9 +18,10 @@ The argparse parser is the only command table: each command's subparser
 names its handler, which reads the parsed options and returns the payload.
 
 The two-file commands (``kstest two-sample`` and ``kstest lipschitz``) read
-both files at once where ``os.fork`` exists: a forked child reads ``--g``
-while this process reads ``--f``, and the results, messages and exit codes
-are those of reading them in order, ``--f``'s fault first.
+both files at once where ``os.fork`` exists and ``--g`` is a regular file: a
+forked child reads ``--g`` while this process reads ``--f``, and the results,
+messages and exit codes are those of reading them in order, ``--f``'s fault
+first.  A pipe or FIFO ``--g`` is read here, after ``--f``, so it is opened once.
 
 Results go to stdout (or ``--out``); every diagnostic goes to stderr.  Exit
 codes: 0 success, 2 domain or validation error, 1 I/O error.  JSON output
@@ -381,6 +382,13 @@ def _send_loaded(load: Callable[[str], object], path: str, read_fd: int, write_f
         os._exit(code)
 
 
+def _is_regular_file(path: str) -> bool:
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except (OSError, ValueError):  # missing, unreadable, or a null byte: load(path) reports it
+        return False
+
+
 def _load_both(
     load: Callable[[str], Loaded], build: Callable[[str, Loaded], Built], f: str, g: str
 ) -> tuple[Built, Built]:
@@ -391,13 +399,15 @@ def _load_both(
     or the typed error it raised, pickled with protocol 5; ``g`` is built
     here, from the same arrays the serial order would give.  ``f``'s whole
     pipeline finishes before anything from ``g`` is raised, so errors come in
-    file order.  If the child ends without a result, ``g`` is loaded here.
+    file order.  If the child ends without a result, ``g`` is loaded here, so
+    only a regular ``g``, which can be read twice, is handed to a child.
     This process always reaps the child, killing it first if its own work
-    fails or is interrupted.  Where ``os.fork`` does not exist, or no process
-    can be started, the two run in order.
+    fails or is interrupted.  Where ``os.fork`` does not exist, no process can
+    be started, or ``g`` is not a regular file (a pipe, a FIFO, or a path
+    ``os.stat`` rejects), the two run in order.
     """
     pid = -1
-    if hasattr(os, "fork"):
+    if hasattr(os, "fork") and _is_regular_file(g):
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()

@@ -18,6 +18,11 @@ nu = K / (1 + s^2 / a^2), where K is the cluster count, a the mean cluster
 size and s^2 the population variance of cluster sizes.  Both routes are
 implemented and agree to rounding error.
 
+Sums are taken term by term, left to right, from the int 0, in explicit
+loops.  The built-in ``sum()`` compensates float rounding from Python 3.12
+on, so it would give the coefficients different last bits on different
+Python versions; integer terms still add up exactly, as in ``sum()``.
+
 All operations are pure and thread-safe.
 """
 
@@ -109,7 +114,10 @@ class ClusterSpec:
     def s2_n(self) -> float:
         """Population (divide-by-K) variance of cluster sizes."""
         a = self.a_n
-        return sum((s - a) ** 2 for s in self.sizes) / self.k
+        total = 0
+        for s in self.sizes:  # in order, not sum(): see the module docstring
+            total += (s - a) ** 2
+        return total / self.k
 
     @cached_property
     def nu_n(self) -> float:
@@ -171,7 +179,10 @@ def mcdiarmid_from_ranges(ranges: Sequence[RangeSpec]) -> float:
     if not ranges:
         raise DomainError("need at least one range")
     n = len(ranges)
-    return n * n / sum(r.width**2 for r in ranges)
+    total = 0
+    for r in ranges:
+        total += r.width**2
+    return n * n / total
 
 
 def mcdiarmid_from_clusters(spec: ClusterSpec) -> float:
@@ -188,7 +199,10 @@ def mcdiarmid_from_clusters(spec: ClusterSpec) -> float:
 def downward_variation(case: DownwardVariationCase) -> float:
     """Downward-variation coefficient for one of the four structural cases."""
     if isinstance(case, FiniteTheta):
-        return sum(r.width for r in case.ranges) ** 2
+        total = 0
+        for r in case.ranges:
+            total += r.width
+        return total**2
     if isinstance(case, MonotoneReal):
         return case.range.width**2
     if isinstance(case, _Lipschitz):

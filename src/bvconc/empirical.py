@@ -267,7 +267,7 @@ def _pick_side(side: TailSide, plus: float, minus: float) -> float:
 
 
 # points per chunk when a long array is walked in bounded pieces: G's jumps in
-# the two-sample statistic, or a scalar-only reference CDF's points
+# the two-sample statistic, a scalar-only reference CDF's points, or a panel's moves
 _REFERENCE_CHUNK = 2**14
 
 
@@ -371,7 +371,10 @@ class TrajectoryPanel:
     """Per-unit [0,1]-valued trajectories sampled on a shared time grid in [0,1].
 
     The data must be consistent with the declared Lipschitz constant: every
-    consecutive move satisfies |dv| <= k_lip * dt + 1e-9.
+    consecutive move satisfies |dv| <= k_lip * dt + 1e-9.  A violation names
+    the first worst move, in unit-then-step order.  The check walks the units
+    in chunks of about ``_REFERENCE_CHUNK`` moves through one reused buffer,
+    so it makes no temporary the size of the panel.
     """
 
     times: np.ndarray
@@ -393,7 +396,10 @@ class TrajectoryPanel:
             raise DataFormatError(
                 f"unit values must be (n_units, {times.size}), got {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)) or vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
+        if not vals.shape[0]:
+            raise DataFormatError("a panel needs at least one unit")
+        # min and max carry a nan through, and Python comparisons never warn
+        if not (float(vals.min()) >= -1e-12 and float(vals.max()) <= 1.0 + 1e-12):
             raise DataFormatError("trajectory values must lie in [0, 1]")
         _check_k_lip(self.k_lip, DataFormatError)
         self._check_consistency()
@@ -401,13 +407,26 @@ class TrajectoryPanel:
     def _check_consistency(self) -> None:
         if self.times.size < 2:
             return
+        vals = self.unit_values
         dt = np.diff(self.times)
-        dv = np.abs(np.diff(self.unit_values, axis=1))
-        excess = dv - (self.k_lip * dt + 1e-9)
-        if excess.max() > 0:
-            unit, step = np.unravel_index(int(np.argmax(excess)), excess.shape)
+        budget = self.k_lip * dt + 1e-9
+        rows = max(1, _REFERENCE_CHUNK // dt.size)
+        buffer = np.empty((min(rows, vals.shape[0]), dt.size))
+        worst, unit, step = 0.0, -1, -1
+        for start in range(0, vals.shape[0], rows):
+            chunk = vals[start : start + rows]
+            excess = buffer[: chunk.shape[0]]
+            np.subtract(chunk[:, 1:], chunk[:, :-1], out=excess)
+            np.abs(excess, out=excess)
+            excess -= budget
+            at = int(np.argmax(excess))
+            # strictly greater: an earlier chunk keeps a tie, as one argmax would
+            if excess.flat[at] > worst:
+                worst = excess.flat[at]
+                unit, step = divmod(start * dt.size + at, dt.size)
+        if unit >= 0:
             # Python floats: a subnormal dt gives an infinite slope, not a numpy overflow warning
-            slope = float(dv[unit, step]) / float(dt[step])
+            slope = abs(float(vals[unit, step + 1]) - float(vals[unit, step])) / float(dt[step])
             raise LipschitzConsistencyError(
                 f"unit {unit + 1} moves with slope {slope:g} between "
                 f"t={self.times[step]:g} and t={self.times[step + 1]:g}, "

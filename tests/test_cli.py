@@ -1385,3 +1385,53 @@ class TestPipedInput:
             writer.join(WRITER_TIMEOUT)
         assert not writer.is_alive()
         assert got == want
+
+
+def refuse_pickling():
+    """Make this process's ``pickle.dump`` fail, so a forked read ends without a result."""
+
+    def refuse(*args, **kwargs):
+        raise pickle.PicklingError("refused")
+
+    pickle.dump = refuse
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM to bound a blocked read")
+class TestPipedSecondFile:
+    """A pipe or FIFO ``--g`` is read once, here, so a child that would have failed cannot drain it."""
+
+    @pytest.mark.parametrize("kind", ["pipe", "fifo"])
+    @pytest.mark.parametrize("command", list(TWO_FILE_COMMANDS))
+    def test_child_failure_leaves_the_regular_file_outcome(
+        self, command, kind, matrix_dir, tmp_path, monkeypatch
+    ):
+        name, argv = TWO_FILE_COMMANDS[command]
+        real = [arg.replace("{tmp}", str(matrix_dir)) for arg in argv]
+        at = real.index("--g") + 1
+        data = Path(real[at]).read_bytes()
+        want = without_path(run_main(real), real[at])
+        in_child_only(monkeypatch, name, refuse_pickling)
+        if kind == "pipe":
+            if not os.path.isdir("/dev/fd"):
+                pytest.skip("no /dev/fd to name a pipe by")
+            read_fd, write_fd = os.pipe()
+            writer = feed(partial(open, write_fd, "wb"), data)
+            real[at] = f"/dev/fd/{read_fd}"
+        else:
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no named pipes")
+            real[at] = str(tmp_path / "g.fifo")
+            os.mkfifo(real[at])
+            writer = feed(partial(open, real[at], "wb"), data)
+        try:
+            got = without_path(run_with_alarm(real), real[at])
+        finally:
+            if kind == "pipe":
+                os.close(read_fd)  # a writer still waiting then sees a broken pipe
+            elif writer.is_alive():  # let a writer still waiting to open, or to write, end
+                os.close(os.open(real[at], os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(WRITER_TIMEOUT)
+        assert not writer.is_alive()
+        assert got == want
+        assert got[0] == 0

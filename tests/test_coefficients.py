@@ -114,6 +114,20 @@ class TestClusterSpec:
             assert mcdiarmid_from_clusters(ClusterSpec(merged)) <= base + 1e-12
 
 
+class TestSumsInOrder:
+    """Coefficient sums add their terms left to right, with the bits of Python 3.11's sum()."""
+
+    def test_nu_bits(self):
+        # Python 3.12's compensated sum() gives 0x1.c5aaa10e1b744p+11
+        sizes = [(7 * i * i + 3 * i) % 39 + 1 for i in range(5000)]
+        assert ClusterSpec(sizes).nu_n.hex() == "0x1.c5aaa10e1b759p+11"
+
+    def test_range_sum_bits(self):
+        assert downward_variation(FiniteTheta([RangeSpec(0, 0.1)] * 7)).hex() == "0x1.f5c28f5c28f5bp-2"
+        ranges = [RangeSpec(0, 0.1 * i + 0.3) for i in range(1, 40)]
+        assert mcdiarmid_from_ranges(ranges).hex() == "0x1.7cae65c6798edp+2"
+
+
 class TestDownwardVariation:
     def test_monotone_unit_range(self):
         assert downward_variation(MonotoneReal(RangeSpec(0, 1))) == pytest.approx(1.0)

@@ -539,6 +539,110 @@ class TestSubnormalTimeStep:
                 )
 
 
+def full_array_offender(times, vals, k_lip):
+    """The message of the check over the whole panel at once: one argmax over every move's excess."""
+    dt = np.diff(times)
+    dv = np.abs(np.diff(vals, axis=1))
+    excess = dv - (k_lip * dt + 1e-9)
+    unit, step = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    slope = float(dv[unit, step]) / float(dt[step])
+    return (
+        f"unit {unit + 1} moves with slope {slope:g} between "
+        f"t={times[step]:g} and t={times[step + 1]:g}, "
+        f"exceeding the declared Lipschitz constant {k_lip:g}"
+    )
+
+
+def cli_layout(vals):
+    """The same values as the transposed view of a C-ordered time-by-unit matrix, as the CLI passes them."""
+    return np.ascontiguousarray(vals.T).T
+
+
+class TestChunkedConsistencyCheck:
+    """The Lipschitz check walks the units in chunks and reports what one full-array argmax would."""
+
+    points = 1000
+    rows = _REFERENCE_CHUNK // (points - 1)  # units per chunk
+    units = 3 * rows + 2  # three full chunks and a partial one
+    times = np.arange(points) / 1024  # every step exactly 2**-10: equal jumps, equal excess
+
+    def flat(self):
+        return np.full((self.units, self.points), 0.5)
+
+    def message(self, vals):
+        with pytest.raises(LipschitzConsistencyError) as info:
+            TrajectoryPanel(times=self.times, unit_values=vals, k_lip=1.0)
+        assert str(info.value) == full_array_offender(self.times, vals, 1.0)
+        return str(info.value)
+
+    @pytest.mark.parametrize("layout", [np.asarray, cli_layout], ids=["c-order", "cli-view"])
+    def test_tie_across_chunks_names_the_first_unit(self, layout):
+        vals = self.flat()
+        first, later = 3, 2 * self.rows + 5
+        vals[first, 501:] = 0.51  # late in a unit of the first chunk
+        vals[later, 11:] = 0.51  # the same jump, early in a unit of the third
+        vals[self.rows + 1, 301:] = 0.505  # a smaller one between them
+        assert self.message(layout(vals)).startswith(f"unit {first + 1} moves with slope ")
+
+    @pytest.mark.parametrize("layout", [np.asarray, cli_layout], ids=["c-order", "cli-view"])
+    def test_violation_only_in_the_last_partial_chunk(self, layout):
+        vals = self.flat()
+        vals[-1, 901:] = 0.53
+        assert self.message(layout(vals)).startswith(f"unit {self.units} moves with slope ")
+
+    def test_matches_the_full_array_check_on_irregular_grids(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            times = np.sort(rng.uniform(0.0, 1.0, self.points))
+            steps = rng.uniform(-0.9, 0.9, (self.units, self.points - 1)) * np.diff(times)
+            vals = np.full((self.units, self.points), 0.5)
+            vals[:, 1:] = np.clip(0.5 + np.cumsum(steps, axis=1), 0.0, 1.0)
+            for _ in range(int(rng.integers(0, 3))):
+                unit, step = rng.integers(self.units), rng.integers(1, self.points)
+                vals[unit, step:] = np.clip(vals[unit, step:] + rng.choice([-1, 1]) * 0.01, 0.0, 1.0)
+            try:
+                TrajectoryPanel(times=times, unit_values=cli_layout(vals), k_lip=1.0)
+                got = None
+            except LipschitzConsistencyError as exc:
+                got = str(exc)
+            excess = np.abs(np.diff(vals, axis=1)) - (np.diff(times) + 1e-9)
+            assert got == (full_array_offender(times, vals, 1.0) if excess.max() > 0 else None)
+
+    def test_move_with_zero_excess_is_accepted(self):
+        budget = 1.0 * 2**-10 + 1e-9
+        vals = np.full((self.units, self.points), budget)
+        vals[:, 0] = 0.0  # every unit's first move uses exactly its whole budget
+        TrajectoryPanel(times=self.times, unit_values=vals, k_lip=1.0)
+        vals[-1, 1:] = np.nextafter(budget, 1.0)
+        assert self.message(vals).startswith(f"unit {self.units} moves with slope ")
+
+    @pytest.mark.parametrize("layout", [np.asarray, cli_layout], ids=["c-order", "cli-view"])
+    def test_no_temporary_the_size_of_the_panel(self, layout):
+        n, t = 400, 1000
+        vals = layout(np.full((n, t), 0.5))
+        times = np.arange(t) / 1024
+        tracemalloc.start()
+        try:
+            TrajectoryPanel(times=times, unit_values=vals, k_lip=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (t - 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected_without_warnings(self, bad):
+        vals = np.full((2, 3), 0.5)
+        vals[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=r"must lie in \[0, 1\]"):
+                TrajectoryPanel(times=[0.0, 0.5, 1.0], unit_values=vals, k_lip=1.0)
+
+    def test_zero_units_is_a_data_format_error(self):
+        with pytest.raises(DataFormatError, match="at least one unit"):
+            TrajectoryPanel(times=[0.2, 0.6], unit_values=np.empty((0, 2)), k_lip=1.0)
+
+
 NAN_A = float("nan")
 NAN_B = float("nan")
 
