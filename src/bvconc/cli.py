@@ -16,6 +16,10 @@ one-to-one onto the library API::
 
 The argparse parser is the only command table: each command's subparser
 names its handler, which reads the parsed options and returns the payload.
+The parser is built once per process, on the first :func:`main` call, and
+every later call reuses it; so option defaults are shared between calls
+(the list-valued ones are tuples), and a handler must not mutate an option
+value in place.
 
 The two-file commands (``kstest two-sample`` and ``kstest lipschitz``) read
 both files at once where ``os.fork`` exists and ``--g`` is a regular file: a
@@ -65,7 +69,7 @@ import signal
 import stat
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence, TextIO, TypeVar
 
@@ -647,11 +651,12 @@ def _add_alpha(parser: argparse.ArgumentParser) -> None:
         "--alpha",
         type=float,
         nargs="+",
-        default=list(DEFAULT_ALPHAS),
+        default=DEFAULT_ALPHAS,
         help="significance levels (default: 0.01 0.05 0.1)",
     )
 
 
+@cache  # one parser per process: the first main() call builds it, later calls reuse it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bvconc",
@@ -720,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--n", type=int, required=True)
     cov.add_argument("--trials", type=int, required=True)
     cov.add_argument("--seed", type=int, default=0)
-    cov.add_argument("--eps", type=float, nargs="+", default=list(DEFAULT_COVERAGE_EPS))
+    cov.add_argument("--eps", type=float, nargs="+", default=DEFAULT_COVERAGE_EPS)
     _add_side(cov)
     _add_common(cov)
     cov.set_defaults(handler=_run_simulate_coverage)

@@ -1,5 +1,6 @@
 """CSV ingestion, command execution, exit codes, determinism, and round-trips."""
 
+import argparse
 import csv
 import io
 import json
@@ -36,6 +37,7 @@ from bvconc.cli import (
 )
 from bvconc.empirical import ClusteredSample, TrajectoryPanel
 from bvconc.errors import DataFormatError, LipschitzConsistencyError
+from bvconc.kstests import DEFAULT_ALPHAS
 
 CLUSTERED = "value,cluster\n1.0,a\n2.0,a\n3.0,b\n"
 
@@ -1435,3 +1437,118 @@ class TestPipedSecondFile:
         assert not writer.is_alive()
         assert got == want
         assert got[0] == 0
+
+
+@needs_fork
+class TestForkWithThreadsAlive:
+    """From Python 3.12 ``os.fork`` warns when other threads are alive; the read stays the same.
+
+    The warning is a ``DeprecationWarning`` that CPython reports without
+    raising, even under ``warnings.simplefilter("error")``; on earlier versions
+    there is no warning and this pins only the forked read itself.
+    """
+
+    @pytest.mark.parametrize("command", list(TWO_FILE_COMMANDS))
+    def test_matches_serial_under_warnings_as_errors(self, command, matrix_dir, monkeypatch):
+        _, argv = TWO_FILE_COMMANDS[command]
+        real = [arg.replace("{tmp}", str(matrix_dir)) for arg in argv]
+        serial = run_serial(monkeypatch, run_main, real)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                forked = run_main(real)  # asserts that no child is left
+        finally:
+            release.set()
+            waiter.join()
+        assert len(forks) == 1
+        assert forked == serial
+        assert forked[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: later main() calls reuse the one the first call built
+# ---------------------------------------------------------------------------
+
+
+def fresh_parser() -> None:
+    """Drop a parser kept from an earlier ``main`` call, so the next call builds one."""
+    clear = getattr(cli.build_parser, "cache_clear", None)
+    if clear is not None:
+        clear()
+
+
+class TestParserReuse:
+    """A reused parser gives every call the bytes and exit code a freshly built one gives."""
+
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        fresh_parser()
+        argv = ["bound", "eval", "--c", "4", "--d", "1", "--eps", "1"]
+        assert main(argv) == 0
+        assert "bvconc" in built  # the first call builds the command table
+        first = capsys.readouterr()
+        built.clear()
+        assert main(argv) == 0
+        assert built == []
+        assert capsys.readouterr() == first
+
+    def test_matrix_in_order_twice(self, matrix_dir):
+        # each case's first run meets the parser in the state every earlier command left
+        fresh_parser()
+        first = [run_matrix_case(argv, matrix_dir) for _, argv in CLI_MATRIX]
+        assert [run_matrix_case(argv, matrix_dir) for _, argv in CLI_MATRIX] == first
+
+    def test_usage_error_after_success(self):
+        bad = ["simulate", "grid", "--n", "x"]
+        fresh_parser()
+        before = run_main(bad)
+        assert before[:2] == (2, "")
+        assert "argument --n: invalid int value: 'x'" in before[2]
+        good = ["simulate", "grid", "--n", "8", "--m", "1", "4", "--eps", "0.25", "--trials", "10"]
+        assert run_main(good)[0] == 0
+        assert run_main(bad) == before
+
+
+class TestImmutableDefaults:
+    """List-valued option defaults are shared tuples, so no call can change another's."""
+
+    def test_defaults_are_the_module_tuples(self):
+        parser = cli.build_parser()
+        alpha = parser.parse_args(["kstest", "one-sample", "--data", "x.csv"]).alpha
+        eps = parser.parse_args(["simulate", "coverage", "--n", "2", "--trials", "1"]).eps
+        assert alpha is DEFAULT_ALPHAS and isinstance(alpha, tuple)
+        assert eps is cli.DEFAULT_COVERAGE_EPS and isinstance(eps, tuple)
+
+    def test_explicit_values_leave_the_defaults(self, matrix_dir):
+        fresh_parser()
+        for argv in (
+            ["kstest", "one-sample", "--data", "{tmp}/u.csv", "--alpha", "0.2"],
+            ["simulate", "coverage", "--n", "100", "--trials", "300", "--seed", "7", "--eps", "0.3"],
+        ):
+            assert run_matrix_case(argv, matrix_dir)["exit"] == 0
+        golden = json.loads(CLI_MATRIX_GOLDEN.read_text(encoding="utf-8"))["cases"]
+        expected = golden["one-sample-uniform-json"]
+        assert run_matrix_case(expected["argv"], matrix_dir) == expected
+        report = json.loads((GOLDEN / "sim_reports.json").read_text(encoding="utf-8"))["coverage_default"]
+        want = json.dumps({"command": "simulate-coverage", **report}, sort_keys=True, indent=2) + "\n"
+        got = run_matrix_case(["simulate", "coverage", "--n", "100", "--trials", "300", "--seed", "7"], matrix_dir)
+        assert got["exit"] == 0
+        assert (got["stdout"], got["stderr"]) == (want, "")
