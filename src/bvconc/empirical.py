@@ -448,7 +448,7 @@ class TrajectoryPanel:
         return self.unit_values.mean(axis=0)
 
 
-def _effective_mesh(times: np.ndarray) -> float:
+def _effective_mesh(panel: TrajectoryPanel) -> float:
     """Worst gap controlling the sup over [0,1]: interior spacings, doubled end gaps.
 
     On an interior gap the difference curve, being 2K-Lipschitz with known
@@ -456,10 +456,8 @@ def _effective_mesh(times: np.ndarray) -> float:
     midpoint).  Past an end point only one value is known, so the curve can
     rise 2K * gap; folding the factor 2 into the gap keeps a single formula.
     """
-    gaps = [2.0 * float(times[0]), 2.0 * float(1.0 - times[-1])]
-    if times.size >= 2:
-        gaps.append(float(np.max(np.diff(times))))
-    return max(gaps)
+    times = panel.times
+    return max(2.0 * float(times[0]), 2.0 * float(1.0 - times[-1]), panel.delta)
 
 
 def lipschitz_sup_interval(
@@ -483,5 +481,5 @@ def lipschitz_sup_interval(
         )
     h = np.abs(panel_f.mean_curve() - panel_g.mean_curve())
     lower = float(np.max(h))
-    upper = lower + panel_f.k_lip * _effective_mesh(panel_f.times)
+    upper = lower + panel_f.k_lip * _effective_mesh(panel_f)
     return lower, upper

@@ -244,8 +244,6 @@ def finite_theta_test(
                 f"statistic pair {i} (observed {obs}, expected {exp}) must be finite"
                 " with a finite difference"
             )
-    if not (math.isfinite(c) and c > 0.0):
-        raise DomainError(f"McDiarmid coefficient must be positive, got {c}")
     d_coeff = downward_variation(FiniteTheta(ranges))
     params = BoundParams(c=c, d=d_coeff)
     stat = max(abs(obs - exp) for obs, exp in stats)

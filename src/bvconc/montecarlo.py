@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -139,13 +139,6 @@ def _iterable(name: str, value) -> tuple:
         raise DomainError(f"{name} must be iterable, got {type(value).__name__}") from None
 
 
-def _check_seed(seed: int) -> int:
-    seed = _integer("seed", seed)
-    if seed < 0 or seed > _MASK64:
-        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return seed
-
-
 class BinomialHalf:
     """Exact Binomial(n, 1/2) machinery shared by sampling and tail arithmetic.
 
@@ -203,7 +196,10 @@ class SimConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 1 or self.m < 1 or self.trials < 1:
             raise DomainError("n, m and trials must all be >= 1")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        seed = _integer("seed", self.seed)
+        if seed < 0 or seed > _MASK64:
+            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        object.__setattr__(self, "seed", seed)
         grid = tuple(_real("eps", e) for e in _iterable("eps_grid", self.eps_grid))
         object.__setattr__(self, "eps_grid", grid)
         if not all(map(math.isfinite, grid)):
@@ -266,10 +262,8 @@ def binomial_grid_sup(n: int, m: int, seed: int) -> float:
     max_j |U_j - n/2| / (n*m), the exact sup deviation of the pooled
     empirical CDF from its mean for the two-point-support grid data.
     """
-    n, m = _integer("n", n), _integer("m", m)
-    if n < 1 or m < 1:
-        raise DomainError("n and m must be >= 1")
-    seed = _check_seed(seed)
+    config = SimConfig(n=n, m=m, trials=1, seed=seed, eps_grid=())
+    n, m, seed = config.n, config.m, config.seed
     u = _binomial_half(n).draw(trial_rng(seed, _STREAM_GRID, 0), m)
     return float(np.max(np.abs(u - n / 2.0))) / (n * m)
 
@@ -407,16 +401,14 @@ def sharpness_experiment(
     l_target = _real("l_target", l_target)
     if not (0.0 < l_target < 0.5):
         raise DomainError(f"l_target must lie in (0, 1/2), got {l_target}")
-    n = _integer("n", n)
+    config = SimConfig(n=n, m=1, trials=trials, seed=seed, eps_grid=())
+    n, trials, seed = config.n, config.trials, config.seed
     k = round(l_target * n)
     if not (0 < k < n / 2):
         raise DomainError(
             f"k = round(l_target * n) = {k} must satisfy 0 < k < n/2 for n = {n}"
         )
-    seed = _check_seed(seed)
-    trials, m_cap = _integer("trials", trials), _integer("m_cap", m_cap)
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    m_cap = _integer("m_cap", m_cap)
     if m_cap < 1:
         raise DomainError(f"m_cap must be >= 1, got {m_cap}")
 
@@ -447,9 +439,8 @@ def sharpness_experiment(
         taus.append(tau)
         threshold = Fraction(n, 2) - (1 + Fraction(delta)) * n * (Fraction(1, 2) - Fraction(l_target))
         rows.append(row(f"delta={delta:+g}", tau, _strict_lower_cut(threshold)))
-    config = SimConfig(n=n, m=m_n, trials=trials, seed=seed, eps_grid=tuple(sorted(taus)))
     return SimReport(
-        config=config,
+        config=replace(config, m=m_n, eps_grid=tuple(sorted(taus))),
         statistic="sqrt(n) * (1/2 - min_j U_j / n) over m_n Binomial(n, 1/2) columns",
         rows=tuple(rows),
         info=(
