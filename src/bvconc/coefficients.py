@@ -145,6 +145,14 @@ class MonotoneReal:
     range: RangeSpec
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a float or a string is rejected, not truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 def _check_k_lip(k_lip: float, error: type[BvconcError] = DomainError) -> None:
     """Reject a Lipschitz constant that is negative or not finite, raising ``error``."""
     if not (math.isfinite(k_lip) and k_lip >= 0.0):
@@ -223,11 +231,13 @@ def lipschitz_difference_params(
 
     Raises :class:`~bvconc.errors.VacuousBoundError` when c*d <= 1.
     """
+    n_units = _integer("unit count", n_units)
     if n_units < 1:
         raise DomainError(f"unit count must be >= 1, got {n_units}")
     _check_k_lip(k_lip)
     c = n_units / 4.0
     if grid_size is not None:
+        grid_size = _integer("grid size", grid_size)
         if grid_size < 1:
             raise DomainError(f"grid size must be >= 1, got {grid_size}")
         return BoundParams(c=c, d=4.0 * grid_size * grid_size)

@@ -263,7 +263,9 @@ def _pick_side(side: TailSide, plus: float, minus: float) -> float:
         return plus
     if side is TailSide.MINUS:
         return minus
-    return max(plus, minus)
+    if side is TailSide.TWO_SIDED:
+        return max(plus, minus)
+    raise DomainError(f"side must be a TailSide, got {type(side).__name__}")
 
 
 # points per chunk when a long array is walked in bounded pieces: G's jumps in

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import BoundParams, TailSide, tail_bound, threshold
+from .coefficients import _integer
 from .errors import DomainError
 
 __all__ = [
@@ -117,14 +117,6 @@ def _allocate(shape, what: str, dtype=float) -> np.ndarray:
         raise DomainError(f"{what} does not fit in memory") from None
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; a float or a string is rejected, not truncated or parsed."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {type(value).__name__}") from None
-
-
 def _real(name: str, value) -> float:
     """``value`` as a float; a string or any other non-real is rejected, not parsed."""
     if not isinstance(value, numbers.Real):
@@ -183,7 +175,12 @@ def _binomial_half(n: int) -> BinomialHalf:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Echo of the knobs that produced a report."""
+    """Echo of the knobs that produced a report.
+
+    It is the one place where the ``n``, ``m``, ``trials`` and ``seed`` of
+    every Monte Carlo entry point are checked: each experiment, and
+    ``binomial_grid_sup``, builds one before it draws.
+    """
 
     n: int
     m: int

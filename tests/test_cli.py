@@ -978,6 +978,20 @@ class TestLongNumericCell:
         assert main(["kstest", "one-sample", "--data", path, "--ref", "normal"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_quoted_label(self, tmp_path, capsys):
+        # every probe holds a comma and a line feed, so the block scan clears the
+        # file and only the label length check after loadtxt finds the long label
+        label = '"' + "a,\n" * 50_000 + 'z"'
+        path = write_raw(tmp_path, "label.csv", f"value,cluster\n1.0,a\n2.0,{label}\n")
+        assert not cli._may_hold_long_cell(path, None)
+        message = f"{path}: row 3: field larger than field limit ({self.LIMIT})"
+        for read in (_read_table, _read_reference):
+            with pytest.raises(DataFormatError) as info:
+                read(path, _clustered_header)
+            assert str(info.value) == message
+        assert main(["kstest", "one-sample", "--data", path, "--ref", "normal"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_panel(self, tmp_path):
         path = write_raw(tmp_path, "long.csv", f"time,unit_1\n0.0,{self.LONG[2:]}\n1.0,0.5\n")
         with pytest.raises(DataFormatError) as info:

@@ -187,6 +187,18 @@ class TestLipschitzDifferenceParams:
         with pytest.raises(DomainError):
             lipschitz_difference_params(4, grid_size=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 4.0, "3"])
+    def test_counts_must_be_integers(self, bad):
+        message = f"must be an integer, got {type(bad).__name__}$"
+        with pytest.raises(DomainError, match=f"^unit count {message}"):
+            lipschitz_difference_params(bad, 1.0)
+        with pytest.raises(DomainError, match=f"^grid size {message}"):
+            lipschitz_difference_params(100, grid_size=bad)
+
+    def test_numpy_integer_counts_accepted(self):
+        p = lipschitz_difference_params(np.int64(100), grid_size=np.int32(5))
+        assert (p.c, p.d) == (25.0, 100.0)
+
 
 class TestClusterSpecSizeTypes:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Exactness of sup statistics against brute-force oracles, plus panel bounds."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -168,6 +169,20 @@ class TestSupDistanceTwoSample:
             assert dfh <= dfg + dgh + 1e-12
 
 
+class TestSideMustBeTailSide:
+    """A side that is not a TailSide is rejected, never read as the two-sided statistic."""
+
+    @pytest.mark.parametrize("side", ["minus", None, 3])
+    def test_rejected(self, side):
+        f = ecdf(ClusteredSample.iid([1.0, 2.0]))
+        g = ecdf(ClusteredSample.iid([1.0, 3.0]))
+        message = f"^side must be a TailSide, got {type(side).__name__}$"
+        with pytest.raises(DomainError, match=message):
+            sup_distance_two_sample(f, g, side)
+        with pytest.raises(DomainError, match=message):
+            sup_distance_reference(f, uniform_cdf, side)
+
+
 class TestSupDistanceReference:
     def test_single_point_half(self):
         f = ecdf(ClusteredSample.iid([0.5]))
@@ -256,6 +271,19 @@ class TestTrajectoryPanel:
     def test_rejects_nonmonotone_times(self):
         with pytest.raises(DataFormatError):
             TrajectoryPanel(times=np.array([0.0, 0.0]), unit_values=np.array([[0.0, 0.0]]), k_lip=1.0)
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [([], [[]]), ([[0.0, 1.0]], [[0.0, 0.0]])],
+        ids=["empty", "two-dimensional"],
+    )
+    def test_rejects_a_time_grid_that_is_not_a_nonempty_vector(self, times, values):
+        with pytest.raises(DataFormatError, match="^time grid must be a nonempty 1-d array$"):
+            TrajectoryPanel(times, values, 1.0)
+
+    def test_rejects_unit_values_of_the_wrong_width(self):
+        with pytest.raises(DataFormatError, match=re.escape("unit values must be (n_units, 2), got (1, 3)")):
+            TrajectoryPanel([0.0, 1.0], [[0.0, 0.5, 1.0]], 1.0)
 
 
 class TestLipschitzSupInterval:

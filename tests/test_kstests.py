@@ -12,7 +12,7 @@ from bvconc import bounds, kstests
 from bvconc.bounds import BoundParams, TailSide, denominator, one_sided_shift, two_sample_critical
 from bvconc.coefficients import RangeSpec
 from bvconc.empirical import ClusteredSample, TrajectoryPanel, lipschitz_sup_interval
-from bvconc.errors import DomainError, VacuousBoundError
+from bvconc.errors import DataFormatError, DomainError, VacuousBoundError
 from bvconc.kstests import (
     DEFAULT_ALPHAS,
     finite_theta_test,
@@ -239,6 +239,13 @@ class TestLipschitzTwoSample:
         with pytest.raises(VacuousBoundError):
             lipschitz_two_sample(f, g)
 
+    def test_rejects_panels_with_different_lipschitz_constants(self):
+        f, _ = self.make_panels(n=4, k_lip=1.0)
+        g, _ = self.make_panels(n=4, k_lip=2.0)
+        message = "panels must declare the same Lipschitz constant (1.0 vs 2.0)"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            lipschitz_two_sample(f, g)
+
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_interval_is_the_sup_enclosure(self, exhaustive):
         rng = np.random.default_rng(31)
@@ -282,6 +289,26 @@ class TestFiniteTheta:
             finite_theta_test([(0.1, 0.2)], [RangeSpec(0, 1)] * 2, c=4.0)
         with pytest.raises(VacuousBoundError):
             finite_theta_test([(0.1, 0.2)], [RangeSpec(0, 0.5)], c=2.0)
+
+    @pytest.mark.parametrize("c", [0.0, -4.0, math.nan, math.inf])
+    def test_bad_coefficient_is_rejected_by_bound_params(self, c):
+        with pytest.raises(DomainError, match=f"^McDiarmid coefficient must be finite and positive, got {c}$"):
+            finite_theta_test([(0.1, 0.2)], [RangeSpec(0, 1)], c=c)
+
+
+class TestClusteredTestsSide:
+    @pytest.mark.parametrize(
+        "test",
+        [
+            lambda sample, side: one_sample_clustered(sample, uniform_cdf, side),
+            lambda sample, side: two_sample_clustered(sample, sample, side),
+        ],
+        ids=["one-sample", "two-sample"],
+    )
+    def test_string_side_is_a_domain_error(self, test):
+        sample = ClusteredSample.iid(np.linspace(0.05, 0.95, 10))
+        with pytest.raises(DomainError, match="^side must be a TailSide, got str$"):
+            test(sample, "plus")
 
 
 class TestConservativenessUnderNull:
