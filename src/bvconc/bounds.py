@@ -113,6 +113,13 @@ class BoundParams:
         return self.c * self.d
 
 
+def _two_sided(side: TailSide) -> bool:
+    """Whether ``side`` is two-sided; anything but a :class:`TailSide` is a DomainError."""
+    if not isinstance(side, TailSide):
+        raise DomainError(f"side must be a TailSide, got {type(side).__name__}")
+    return side is TailSide.TWO_SIDED
+
+
 def _require_gt1(x: float) -> None:
     if not (math.isfinite(x) and x > 1.0):
         raise DomainError(f"bound argument must be a finite real > 1, got {x}")
@@ -123,7 +130,6 @@ def residual(x: float) -> float:
 
     Decreases to 0 as x grows; defined only for x > 1.
     """
-    _require_gt1(x)
     return _SQRT_2_OVER_LN2 * residual_star(x)
 
 
@@ -157,7 +163,7 @@ def threshold(params: BoundParams, side: TailSide, stat):
     floored at 0.  ``tail_bound(params, side, threshold(params, side, stat))``
     is the p-value upper bound of ``stat``.
     """
-    if side.is_two_sided:
+    if _two_sided(side):
         return math.sqrt(params.c) * stat / denominator(params.product)
     return np.maximum(math.sqrt(params.c) * stat - one_sided_shift(params.product), 0.0)
 
@@ -171,7 +177,7 @@ def tail_bound_raw(params: BoundParams, side: TailSide, eps: float) -> float:
     if not (math.isfinite(eps) and eps >= 0.0):
         raise DomainError(f"eps must be a finite real >= 0, got {eps}")
     _require_gt1(params.product)
-    scale = 2.0 if side.is_two_sided else 1.0
+    scale = 2.0 if _two_sided(side) else 1.0
     return scale * math.exp(-2.0 * eps * eps)
 
 
@@ -190,7 +196,7 @@ def critical_statistic(params: BoundParams, side: TailSide, alpha: float) -> flo
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     x = params.product
     root_c = math.sqrt(params.c)
-    if side.is_two_sided:
+    if _two_sided(side):
         return math.sqrt(math.log(2.0 / alpha) / 2.0) * denominator(x) / root_c
     return (math.sqrt(math.log(1.0 / alpha) / 2.0) + one_sided_shift(x)) / root_c
 
@@ -210,7 +216,7 @@ def two_sample_tail_bound(nu: float, xi: float, side: TailSide, eps: float) -> f
         )
     if not (math.isfinite(eps) and eps >= 0.0):
         raise DomainError(f"eps must be a finite real >= 0, got {eps}")
-    if side.is_two_sided:
+    if _two_sided(side):
 
         def factor(v: float) -> float:
             inner = 2.0 * math.exp(-0.5 * v * (eps / denominator(v)) ** 2)
@@ -234,12 +240,8 @@ def two_sample_critical(nu: float, xi: float, side: TailSide, alpha: float) -> f
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     hi = 1.0
-    for _ in range(200):
-        if two_sample_tail_bound(nu, xi, side, hi) <= alpha:
-            break
+    while two_sample_tail_bound(nu, xi, side, hi) > alpha:
         hi *= 2.0
-    else:
-        raise DomainError(f"could not bracket the critical statistic for alpha={alpha}")
     lo = 0.0
     while hi - lo > 1e-14 * max(1.0, hi):
         mid = 0.5 * (lo + hi)

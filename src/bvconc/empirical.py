@@ -47,7 +47,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import TailSide
+from .bounds import TailSide, _two_sided
 from .coefficients import ClusterSpec, _check_k_lip
 from .errors import DataFormatError, DomainError, LipschitzConsistencyError
 
@@ -259,13 +259,9 @@ def ecdf(sample: ClusteredSample) -> StepCdf:
 
 
 def _pick_side(side: TailSide, plus: float, minus: float) -> float:
-    if side is TailSide.PLUS:
-        return plus
-    if side is TailSide.MINUS:
-        return minus
     if side is TailSide.TWO_SIDED:
         return max(plus, minus)
-    raise DomainError(f"side must be a TailSide, got {type(side).__name__}")
+    return plus if side is TailSide.PLUS else minus
 
 
 # points per chunk when a long array is walked in bounded pieces: G's jumps in
@@ -301,6 +297,7 @@ def sup_distance_two_sample(f: StepCdf, g: StepCdf, side: TailSide) -> float:
     height from an F height no larger, or is at most 0 past G's last jump.
     Rounding is monotone, so both extremes are the same floats.
     """
+    _two_sided(side)
     low, high = np.inf, -np.inf
     g_before = g._padded[:-1]  # G just before each of its jumps
     for start in range(0, g.jump_points.size, _REFERENCE_CHUNK):
@@ -353,6 +350,7 @@ def sup_distance_reference(
     when the reference is only piecewise smooth; without them F(x) and F(x-)
     at the jumps are the stored heights.
     """
+    _two_sided(side)
     if len(extra_points):
         pts = np.union1d(f.jump_points, np.asarray(extra_points, dtype=float))
         right, left = f.evaluate(pts), f.evaluate_left(pts)

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundParams, TailSide, tail_bound, threshold
+from .bounds import BoundParams, TailSide, _two_sided, tail_bound, threshold
 from .coefficients import _integer
 from .errors import DomainError
 
@@ -354,8 +354,7 @@ def iid_coverage(
         raise DomainError(f"need n >= 2, got {n}")
     if trials < 100:
         raise DomainError(f"need at least 100 trials for stable frequencies, got {trials}")
-    if not isinstance(side, TailSide):
-        raise DomainError(f"side must be a TailSide, got {type(side).__name__}")
+    two_sided = _two_sided(side)
 
     sup = _allocate(trials, f"a result array of {trials} trials")
     for start, block in _trial_blocks(seed, _STREAM_COVERAGE, 0, trials, n):
@@ -367,7 +366,7 @@ def iid_coverage(
         for eps in config.eps_grid:
             emp = float(np.mean(stats > eps))
             rows.append(_row(label, eps, emp, tail_bound(params, side, eps), trials))
-    if side.is_two_sided:
+    if two_sided:
         statistic = "sqrt(n) * sup|F - U| / L(n)  [raw rows: sqrt(n) * sup|F - U|]"
     else:
         sign = "+" if side is TailSide.PLUS else "-"

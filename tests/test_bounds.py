@@ -20,6 +20,8 @@ from bvconc.bounds import (
     tail_bound,
     tail_bound_raw,
     threshold,
+    two_sample_critical,
+    two_sample_tail_bound,
 )
 from bvconc.errors import DomainError, VacuousBoundError
 
@@ -267,3 +269,50 @@ class TestThreshold:
         assert threshold(params, side, below) == 0.0
         assert threshold(params, side, np.array([0.0, below])).tolist() == [0.0, 0.0]
         assert tail_bound(params, side, threshold(params, side, below)) == 1.0
+
+
+class TestSideCheckedFirst:
+    """Every bound function rejects a side that is not a TailSide with a typed error."""
+
+    PARAMS = BoundParams(c=100.0, d=1.0)
+    CALLS = {
+        "threshold": lambda side: threshold(TestSideCheckedFirst.PARAMS, side, 0.1),
+        "tail_bound": lambda side: tail_bound(TestSideCheckedFirst.PARAMS, side, 0.5),
+        "tail_bound_raw": lambda side: tail_bound_raw(TestSideCheckedFirst.PARAMS, side, 0.5),
+        "critical_statistic": lambda side: critical_statistic(TestSideCheckedFirst.PARAMS, side, 0.05),
+        "two_sample_tail_bound": lambda side: two_sample_tail_bound(40.0, 30.0, side, 0.5),
+        "two_sample_critical": lambda side: two_sample_critical(40.0, 30.0, side, 0.05),
+    }
+
+    @pytest.mark.parametrize("side", ["plus", None, 3])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rejected(self, name, side):
+        message = f"^side must be a TailSide, got {type(side).__name__}$"
+        with pytest.raises(DomainError, match=message):
+            self.CALLS[name](side)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_every_tail_side_accepted(self, name):
+        for side in TailSide:
+            self.CALLS[name](side)
+
+
+class TestTwoSampleBracket:
+    """``two_sample_critical`` doubles until the bound reaches alpha, with no iteration cap."""
+
+    @pytest.mark.parametrize("side", list(TailSide))
+    @pytest.mark.parametrize("v", [1.0 + 2**-52, 1.0 + 1e-9, 1.5, 1e12])
+    @pytest.mark.parametrize("alpha", [1e-300, 0.05, 0.999])
+    def test_brackets_and_reaches_alpha(self, side, v, alpha):
+        crit = two_sample_critical(v, v, side, alpha)
+        assert math.isfinite(crit) and crit > 0.0
+        # the bisection returns the midpoint of a bracket no wider than 1e-14 * max(1, hi)
+        assert two_sample_tail_bound(v, v, side, crit + 1e-13 * max(1.0, crit)) <= alpha
+
+    def test_vacuous_size(self):
+        with pytest.raises(VacuousBoundError):
+            two_sample_tail_bound(1.0, 5.0, TailSide.TWO_SIDED, 0.5)
+
+    def test_negative_eps(self):
+        with pytest.raises(DomainError, match="^eps must be a finite real >= 0, got -0.5$"):
+            two_sample_tail_bound(5.0, 5.0, TailSide.TWO_SIDED, -0.5)

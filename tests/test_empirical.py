@@ -183,6 +183,33 @@ class TestSideMustBeTailSide:
             sup_distance_reference(f, uniform_cdf, side)
 
 
+class TestSideCheckedBeforeWork:
+    """Both sup statistics reject a bad side before they read a step CDF or call the reference."""
+
+    @pytest.mark.parametrize("side", ["plus", None, 3])
+    def test_two_sample_reads_nothing(self, side):
+        message = f"^side must be a TailSide, got {type(side).__name__}$"
+        with pytest.raises(DomainError, match=message):
+            sup_distance_two_sample(object(), object(), side)
+
+    @pytest.mark.parametrize("side", ["plus", None, 3])
+    @pytest.mark.parametrize("extra_points", [(), (0.5,)])
+    def test_reference_never_called(self, side, extra_points):
+        calls = []
+
+        def scalar_ref(r):
+            calls.append(r)
+            return min(max(float(r), 0.0), 1.0)
+
+        f = ecdf(ClusteredSample.iid(np.linspace(0.0, 1.0, 20_000)))
+        message = f"^side must be a TailSide, got {type(side).__name__}$"
+        with pytest.raises(DomainError, match=message):
+            sup_distance_reference(f, scalar_ref, side, extra_points)
+        with pytest.raises(DomainError, match=message):
+            sup_distance_reference(object(), scalar_ref, side)
+        assert calls == []
+
+
 class TestSupDistanceReference:
     def test_single_point_half(self):
         f = ecdf(ClusteredSample.iid([0.5]))

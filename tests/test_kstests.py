@@ -433,3 +433,20 @@ class TestFiniteThetaNonPair:
         message = f"statistic entry {entry} must be an (observed, expected) pair, got {shown}"
         with pytest.raises(DomainError, match=re.escape(message) + "$"):
             finite_theta_test(stats, [RangeSpec(0, 1)] * len(stats), c=400.0)
+
+
+class TestOneSampleSideBeforeReference:
+    """A bad side is rejected before the reference CDF is called even once."""
+
+    @pytest.mark.parametrize("side", ["plus", None, 3])
+    def test_scalar_reference_never_called(self, side):
+        calls = []
+
+        def scalar_ref(r):
+            calls.append(r)
+            return min(max(float(r), 0.0), 1.0)
+
+        sample = ClusteredSample.iid(np.random.default_rng(3).random(20_000))
+        with pytest.raises(DomainError, match=f"^side must be a TailSide, got {type(side).__name__}$"):
+            one_sample_clustered(sample, scalar_ref, side)
+        assert calls == []
