@@ -99,9 +99,9 @@ class BoundParams:
     d: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0):
+        if not (_finite("McDiarmid coefficient", self.c) and self.c > 0):
             raise DomainError(f"McDiarmid coefficient must be finite and positive, got {self.c}")
-        if not (math.isfinite(self.d) and self.d > 0):
+        if not (_finite("downward-variation coefficient", self.d) and self.d > 0):
             raise DomainError(f"downward-variation coefficient must be finite and positive, got {self.d}")
         if self.c * self.d <= 1.0:
             raise VacuousBoundError(
@@ -113,6 +113,14 @@ class BoundParams:
         return self.c * self.d
 
 
+def _finite(name: str, x) -> bool:
+    """``math.isfinite(x)``; an ``x`` that is not a real number is a DomainError naming ``name``."""
+    try:
+        return math.isfinite(x)
+    except TypeError:
+        raise DomainError(f"{name} must be a real number, got {type(x).__name__}") from None
+
+
 def _two_sided(side: TailSide) -> bool:
     """Whether ``side`` is two-sided; anything but a :class:`TailSide` is a DomainError."""
     if not isinstance(side, TailSide):
@@ -121,7 +129,7 @@ def _two_sided(side: TailSide) -> bool:
 
 
 def _require_gt1(x: float) -> None:
-    if not (math.isfinite(x) and x > 1.0):
+    if not (_finite("bound argument", x) and x > 1.0):
         raise DomainError(f"bound argument must be a finite real > 1, got {x}")
 
 
@@ -174,7 +182,7 @@ def tail_bound_raw(params: BoundParams, side: TailSide, eps: float) -> float:
     Two-sided, this bounds Pr{ sqrt(c)/L(c*d) * sup|F - EF| > eps }; one-sided
     it bounds Pr{ sqrt(c) * sup(F - EF)^± - S(c*d) > eps }.
     """
-    if not (math.isfinite(eps) and eps >= 0.0):
+    if not (_finite("eps", eps) and eps >= 0.0):
         raise DomainError(f"eps must be a finite real >= 0, got {eps}")
     _require_gt1(params.product)
     scale = 2.0 if _two_sided(side) else 1.0
@@ -192,7 +200,7 @@ def critical_statistic(params: BoundParams, side: TailSide, alpha: float) -> flo
     Two-sided: sqrt(ln(2/alpha)/2) * L(c*d) / sqrt(c).
     One-sided: (sqrt(ln(1/alpha)/2) + S(c*d)) / sqrt(c).
     """
-    if not (0.0 < alpha < 1.0):
+    if not (_finite("alpha", alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     x = params.product
     root_c = math.sqrt(params.c)
@@ -210,11 +218,13 @@ def two_sample_tail_bound(nu: float, xi: float, side: TailSide, eps: float) -> f
     1 - exp(-2*max(0, sqrt(v)*eps/2 - S(v))^2).  The bound is one minus the
     product, always within [0, 1].
     """
+    _finite("nu", nu)  # a non-real is rejected here; nan and inf fail the bound argument check
+    _finite("xi", xi)
     if nu <= 1.0 or xi <= 1.0:
         raise VacuousBoundError(
             f"both effective sample sizes must exceed 1, got {nu} and {xi}"
         )
-    if not (math.isfinite(eps) and eps >= 0.0):
+    if not (_finite("eps", eps) and eps >= 0.0):
         raise DomainError(f"eps must be a finite real >= 0, got {eps}")
     if _two_sided(side):
 
@@ -237,7 +247,7 @@ def two_sample_critical(nu: float, xi: float, side: TailSide, alpha: float) -> f
     The bound is continuous and nonincreasing in eps: bracket by doubling from
     1, then bisect to a relative width of 1e-14 and return the midpoint.
     """
-    if not (0.0 < alpha < 1.0):
+    if not (_finite("alpha", alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     hi = 1.0
     while two_sample_tail_bound(nu, xi, side, hi) > alpha:

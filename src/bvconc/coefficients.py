@@ -28,13 +28,12 @@ All operations are pure and thread-safe.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .bounds import BoundParams
+from .bounds import BoundParams, _finite
 from .errors import BvconcError, DomainError
 
 __all__ = [
@@ -60,7 +59,7 @@ class RangeSpec:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (_finite("range endpoint lo", self.lo) and _finite("range endpoint hi", self.hi)):
             raise DomainError(f"range endpoints must be finite, got ({self.lo}, {self.hi})")
         if not self.lo < self.hi:
             raise DomainError(f"degenerate range: lo {self.lo} must be < hi {self.hi}")
@@ -136,6 +135,9 @@ class FiniteTheta:
         object.__setattr__(self, "ranges", tuple(ranges))
         if not self.ranges:
             raise DomainError("finite parameter case needs at least one range")
+        for i, r in enumerate(self.ranges):
+            if not isinstance(r, RangeSpec):
+                raise DomainError(f"range {i} must be a RangeSpec, got {type(r).__name__}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def _integer(name: str, value) -> int:
 
 def _check_k_lip(k_lip: float, error: type[BvconcError] = DomainError) -> None:
     """Reject a Lipschitz constant that is negative or not finite, raising ``error``."""
-    if not (math.isfinite(k_lip) and k_lip >= 0.0):
+    if not (_finite("Lipschitz constant", k_lip) and k_lip >= 0.0):
         raise error(f"Lipschitz constant must be >= 0, got {k_lip}")
 
 

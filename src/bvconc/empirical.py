@@ -40,6 +40,7 @@ concurrently.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
@@ -75,6 +76,20 @@ def _label_codes(labels: Iterable[Hashable], n: int) -> np.ndarray:
         raise DomainError(f"cluster labels must be hashable: {exc}") from None
 
 
+def _float64(values, read=np.array) -> np.ndarray:
+    """``read(values, dtype=np.float64)``; a value that is not a real number is a DomainError."""
+    try:
+        return read(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"observation values must be real numbers: {exc}") from None
+
+
+def _pair_error(pairs: Sequence, rest: Iterable) -> DomainError:
+    """The error for the entry of ``pairs`` last taken from its iterator ``rest``."""
+    i = len(pairs) - operator.length_hint(rest) - 1
+    return DomainError(f"pair {i} must be a (real value, label) pair, got {pairs[i]!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ClusteredSample:
     """Real-valued observations tagged with the cluster they belong to.
@@ -90,7 +105,7 @@ class ClusteredSample:
     cluster_ids: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        values = _float64(self.values)
         labels = self.cluster_ids
         try:
             n_labels = len(labels)
@@ -147,11 +162,24 @@ class ClusteredSample:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, Hashable]]) -> "ClusteredSample":
-        """Sample from ``(value, label)`` pairs; the labels go straight into the dict pass."""
+        """Sample from ``(value, label)`` pairs; the labels go straight into the dict pass.
+
+        An entry that is not a pair, or whose value is not a real number, is
+        named by its index: each pass reads the pairs through its own
+        iterator, which stops just past the entry that failed.
+        """
         if not isinstance(pairs, (list, tuple)):
             pairs = list(pairs)
-        values = np.fromiter(map(itemgetter(0), pairs), dtype=np.float64, count=len(pairs))
-        return cls._built(values, map(itemgetter(1), pairs))
+        rest = iter(pairs)
+        try:
+            values = np.fromiter(map(itemgetter(0), rest), dtype=np.float64, count=len(pairs))
+        except (TypeError, ValueError, LookupError):
+            raise _pair_error(pairs, rest) from None
+        rest = iter(pairs)
+        try:
+            return cls._built(values, map(itemgetter(1), rest))
+        except LookupError:
+            raise _pair_error(pairs, rest) from None
 
     @classmethod
     def iid(cls, values: Iterable[float]) -> "ClusteredSample":
@@ -159,11 +187,8 @@ class ClusteredSample:
 
         The codes, sizes and ECDF equal those of ``cluster_ids=range(n)``.
         """
-        if isinstance(values, np.ndarray):
-            values = np.array(values, dtype=np.float64)
-        else:
-            values = np.fromiter(values, dtype=np.float64)
-        return cls._built(values, None)
+        read = np.array if isinstance(values, np.ndarray) else np.fromiter
+        return cls._built(_float64(values, read), None)
 
     @property
     def n(self) -> int:

@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .bounds import (
     BoundParams,
     TailSide,
+    _finite,
     critical_statistic,
     tail_bound_raw,
     threshold,
@@ -118,7 +119,7 @@ def _effective_size(sample: ClusteredSample, label: str) -> float:
 def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     alphas = tuple(alphas)
     for a in alphas:
-        if not (0.0 < a < 1.0):
+        if not (_finite("alpha", a) and 0.0 < a < 1.0):
             raise DomainError(f"alpha levels must lie in (0, 1), got {a}")
     return alphas
 

@@ -1,6 +1,8 @@
 """Closed-form fidelity, tail-bound algebra, and the entropy minimization."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -316,3 +318,84 @@ class TestTwoSampleBracket:
     def test_negative_eps(self):
         with pytest.raises(DomainError, match="^eps must be a finite real >= 0, got -0.5$"):
             two_sample_tail_bound(5.0, 5.0, TailSide.TWO_SIDED, -0.5)
+
+
+class TestNonRealScalars:
+    """A scalar argument that is not a real number is a DomainError naming the argument."""
+
+    PARAMS = BoundParams(c=100.0, d=1.0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: BoundParams(c="100", d=1.0), "McDiarmid coefficient must be a real number, got str"),
+            (lambda: BoundParams(c=100.0, d=None), "downward-variation coefficient must be a real number, got NoneType"),
+            (lambda: BoundParams(c=100.0, d=1j), "downward-variation coefficient must be a real number, got complex"),
+            (lambda: denominator("5"), "bound argument must be a real number, got str"),
+            (lambda: residual("5"), "bound argument must be a real number, got str"),
+            (lambda: one_sided_shift(b"5"), "bound argument must be a real number, got bytes"),
+            (lambda: tail_bound(TestNonRealScalars.PARAMS, TailSide.PLUS, "0.5"), "eps must be a real number, got str"),
+            (
+                lambda: critical_statistic(TestNonRealScalars.PARAMS, TailSide.PLUS, "0.05"),
+                "alpha must be a real number, got str",
+            ),
+            (lambda: two_sample_tail_bound("40", 30.0, TailSide.TWO_SIDED, 0.5), "nu must be a real number, got str"),
+            (lambda: two_sample_tail_bound(40.0, "30", TailSide.TWO_SIDED, 0.5), "xi must be a real number, got str"),
+            (lambda: two_sample_tail_bound(40.0, 30.0, TailSide.PLUS, "0.5"), "eps must be a real number, got str"),
+            (lambda: two_sample_critical(40.0, 30.0, TailSide.MINUS, "0.05"), "alpha must be a real number, got str"),
+            (
+                lambda: two_sample_critical(40.0, 30.0, TailSide.MINUS, np.array([0.05, 0.1])),
+                "alpha must be a real number, got ndarray",
+            ),
+        ],
+    )
+    def test_rejected(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_reals_pass_unconverted(self):
+        # ints stay ints, so every product and output bit is what it was
+        params = BoundParams(c=100, d=1)
+        assert type(params.c) is int and type(params.d) is int and params.product == 100
+        assert type(BoundParams(c=np.float32(100.0), d=Fraction(1)).d) is Fraction
+        assert type(BoundParams(c=np.array(100.0), d=1).c) is np.ndarray
+        as_float = BoundParams(c=100.0, d=1.0)
+        for side in TailSide:
+            assert critical_statistic(params, side, Fraction(1, 20)) == critical_statistic(as_float, side, 0.05)
+            assert tail_bound(params, side, 0) == tail_bound(as_float, side, 0.0)
+            assert two_sample_tail_bound(40, np.float64(30.0), side, 1) == two_sample_tail_bound(
+                40.0, 30.0, side, 1.0
+            )
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: BoundParams(c=math.nan, d=1.0), "McDiarmid coefficient must be finite and positive, got nan"),
+            (lambda: BoundParams(c=1.0, d=math.inf), "downward-variation coefficient must be finite and positive, got inf"),
+            (lambda: denominator(math.nan), "bound argument must be a finite real > 1, got nan"),
+            (lambda: tail_bound(TestNonRealScalars.PARAMS, TailSide.PLUS, math.inf), "eps must be a finite real >= 0, got inf"),
+            (
+                lambda: critical_statistic(TestNonRealScalars.PARAMS, TailSide.PLUS, math.nan),
+                "alpha must lie in the open interval (0, 1), got nan",
+            ),
+            (
+                lambda: two_sample_tail_bound(math.nan, 30.0, TailSide.TWO_SIDED, 0.5),
+                "bound argument must be a finite real > 1, got nan",
+            ),
+            (
+                lambda: two_sample_tail_bound(40.0, math.inf, TailSide.PLUS, 0.5),
+                "bound argument must be a finite real > 1, got inf",
+            ),
+            (
+                lambda: two_sample_critical(40.0, 30.0, TailSide.PLUS, math.inf),
+                "alpha must lie in the open interval (0, 1), got inf",
+            ),
+        ],
+    )
+    def test_nan_and_inf_keep_their_messages(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_minus_inf_size_is_still_vacuous(self):
+        with pytest.raises(VacuousBoundError):
+            two_sample_tail_bound(-math.inf, 30.0, TailSide.TWO_SIDED, 0.5)

@@ -242,3 +242,54 @@ class TestLipschitzConstantCheck:
         r = RangeSpec(0, 1)
         assert LipschitzDifferentiable(r, 1.0) != LipschitzOneSided(r, 1.0)
         assert repr(LipschitzOneSided(r, 1.0)) == "LipschitzOneSided(range=RangeSpec(lo=0, hi=1), k_lip=1.0)"
+
+
+class TestNonRealScalars:
+    """Range endpoints and Lipschitz constants that are not real numbers raise a DomainError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: RangeSpec("0", 1), "range endpoint lo must be a real number, got str"),
+            (lambda: RangeSpec(0, None), "range endpoint hi must be a real number, got NoneType"),
+            (lambda: lipschitz_difference_params(10, "1"), "Lipschitz constant must be a real number, got str"),
+            (
+                lambda: LipschitzOneSided(RangeSpec(0, 1), [1.0]),
+                "Lipschitz constant must be a real number, got list",
+            ),
+            (
+                lambda: TrajectoryPanel(times=[0.0, 1.0], unit_values=[[0.0, 0.5]], k_lip="1"),
+                "Lipschitz constant must be a real number, got str",
+            ),
+        ],
+    )
+    def test_rejected(self, call, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
+
+    def test_nan_keeps_its_message(self):
+        with pytest.raises(DomainError, match=r"^range endpoints must be finite, got \(nan, 1\)$"):
+            RangeSpec(math.nan, 1)
+        with pytest.raises(DataFormatError, match="^Lipschitz constant must be >= 0, got nan$"):
+            TrajectoryPanel(times=[0.0, 1.0], unit_values=[[0.0, 0.5]], k_lip=math.nan)
+
+    def test_integer_endpoints_stay_integers(self):
+        assert RangeSpec(0, 3).width == 3 and type(RangeSpec(0, 3).width) is int
+
+
+class TestFiniteThetaEntries:
+    def test_empty(self):
+        with pytest.raises(DomainError, match="^finite parameter case needs at least one range$"):
+            FiniteTheta([])
+
+    @pytest.mark.parametrize(
+        "ranges, index, kind",
+        [(["x"], 0, "str"), ([RangeSpec(0, 1), (0, 1)], 1, "tuple"), ([RangeSpec(0, 1), None], 1, "NoneType")],
+    )
+    def test_non_range_entry(self, ranges, index, kind):
+        with pytest.raises(DomainError, match=f"^range {index} must be a RangeSpec, got {kind}$"):
+            FiniteTheta(ranges)
+
+    def test_unknown_case(self):
+        with pytest.raises(DomainError, match="^unknown downward-variation case: 3$"):
+            downward_variation(3)

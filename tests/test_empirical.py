@@ -1118,3 +1118,69 @@ class TestSupDistanceTwoSampleAcrossChunks:
             tracemalloc.stop()
         # a few chunk-length arrays; one G-length float array alone is 2 MB
         assert peak < 4 * 8 * _REFERENCE_CHUNK
+
+
+class TestMalformedSampleInput:
+    """Malformed sample input raises a DomainError that names the fault."""
+
+    @pytest.mark.parametrize(
+        "pairs, shown",
+        [
+            ([(1.0,), (2.0,)], "pair 0 must be a (real value, label) pair, got (1.0,)"),
+            ([1.0, 2.0], "pair 0 must be a (real value, label) pair, got 1.0"),
+            ([("a", 1)], "pair 0 must be a (real value, label) pair, got ('a', 1)"),
+            ([(0.5, "a"), (0.7, "b"), ((), "c")], "pair 2 must be a (real value, label) pair, got ((), 'c')"),
+            ([(0.5, "a"), (), (0.7, "b")], "pair 1 must be a (real value, label) pair, got ()"),
+            ([(0.5, "a"), (0.7, "b"), (0.9,)], "pair 2 must be a (real value, label) pair, got (0.9,)"),
+            (iter([(0.5, "a"), (0.7,)]), "pair 1 must be a (real value, label) pair, got (0.7,)"),
+            (((0.5, "a"), {0: 0.7}), "pair 1 must be a (real value, label) pair, got {0: 0.7}"),
+        ],
+    )
+    def test_from_pairs_names_the_entry(self, pairs, shown):
+        with pytest.raises(DomainError, match=f"^{re.escape(shown)}$"):
+            ClusteredSample.from_pairs(pairs)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(math.nan, "a"), (1.0,)], "observation values must be finite, got nan"),
+            ([(1.0, [1]), (2.0,)], "cluster labels must be hashable: unhashable type: 'list'"),
+            ([], "sample must be nonempty"),
+        ],
+    )
+    def test_from_pairs_keeps_the_check_order(self, pairs, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ClusteredSample.from_pairs(pairs)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ClusteredSample.iid(["a"]),
+            lambda: ClusteredSample.iid(np.array(["0.5", "a"])),
+            lambda: ClusteredSample(values=["a"], cluster_ids=[1]),
+        ],
+        ids=["iid-list", "iid-array", "direct"],
+    )
+    def test_non_numeric_values(self, build):
+        message = "^observation values must be real numbers: could not convert string to float: "
+        with pytest.raises(DomainError, match=message):
+            build()
+
+    def test_non_numeric_values_before_label_checks(self):
+        with pytest.raises(DomainError, match="^observation values must be real numbers: "):
+            ClusteredSample(values=[None, "x"], cluster_ids=5)
+
+    def test_numeric_strings_still_parse(self):
+        assert ClusteredSample.from_pairs([("1.5", "a")]).values.tolist() == [1.5]
+        assert ClusteredSample.iid(["0.25"]).values.tolist() == [0.25]
+
+
+class TestUnreachedPanelAndStepChecks:
+    def test_step_cdf_call_is_evaluate(self):
+        cdf = StepCdf([0.0, 1.0], [0.5, 1.0])
+        assert cdf(0.5) == 0.5
+        assert cdf(np.array([-1.0, 0.0, 1.0])).tolist() == [0.0, 0.5, 1.0]
+
+    def test_single_point_grid_has_zero_delta(self):
+        panel = TrajectoryPanel(times=[0.5], unit_values=[[0.2], [0.4]], k_lip=1.0)
+        assert panel.delta == 0.0 and type(panel.delta) is float

@@ -15,6 +15,7 @@ from bvconc.empirical import ClusteredSample, TrajectoryPanel, lipschitz_sup_int
 from bvconc.errors import DataFormatError, DomainError, VacuousBoundError
 from bvconc.kstests import (
     DEFAULT_ALPHAS,
+    KsOutcome,
     finite_theta_test,
     lipschitz_two_sample,
     one_sample_clustered,
@@ -450,3 +451,42 @@ class TestOneSampleSideBeforeReference:
         with pytest.raises(DomainError, match=f"^side must be a TailSide, got {type(side).__name__}$"):
             one_sample_clustered(sample, scalar_ref, side)
         assert calls == []
+
+
+class TestNonRealAlphas:
+    @pytest.mark.parametrize(
+        "test",
+        [
+            lambda alphas: one_sample_clustered(
+                ClusteredSample.iid([0.1, 0.5, 0.7]), uniform_cdf, TailSide.PLUS, alphas=alphas
+            ),
+            lambda alphas: two_sample_clustered(
+                ClusteredSample.iid([0.1, 0.5, 0.7]), ClusteredSample.iid([0.2, 0.4]), TailSide.MINUS, alphas=alphas
+            ),
+            lambda alphas: finite_theta_test([(0.1, 0.2)], [RangeSpec(0, 1)], c=10.0, alphas=alphas),
+        ],
+        ids=["one-sample", "two-sample", "finite-theta"],
+    )
+    def test_rejected(self, test):
+        with pytest.raises(DomainError, match="^alpha must be a real number, got str$"):
+            test(["0.05"])
+        with pytest.raises(DomainError, match=r"^alpha levels must lie in \(0, 1\), got nan$"):
+            test([0.05, math.nan])
+
+
+class TestFiniteThetaRangeType:
+    def test_non_range_entry(self):
+        with pytest.raises(DomainError, match="^range 0 must be a RangeSpec, got str$"):
+            finite_theta_test([(0.1, 0.2)], ["x"], c=10.0)
+
+
+class TestKsOutcomeChecks:
+    FIELDS = dict(side=TailSide.TWO_SIDED, params=BoundParams(c=10.0, d=1.0), p_upper_raw=0.5, critical_at={})
+
+    def test_p_upper_above_one(self):
+        with pytest.raises(DomainError, match=r"^p-value bound 1.5 outside \[0, 1\]$"):
+            KsOutcome(statistic=0.1, p_upper=1.5, **self.FIELDS)
+
+    def test_negative_statistic(self):
+        with pytest.raises(DomainError, match="^sup statistic -0.1 cannot be negative$"):
+            KsOutcome(statistic=-0.1, p_upper=0.5, **self.FIELDS)

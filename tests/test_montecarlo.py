@@ -636,3 +636,19 @@ class TestOversizedResults:
 if __name__ == "__main__":
     record_sim_reports()
     record_zero_eps_reports()
+
+
+class TestUnreachedMonteCarloChecks:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_binomial_needs_a_trial(self, n):
+        with pytest.raises(DomainError, match=f"^binomial trial count must be >= 1, got {n}$"):
+            BinomialHalf(n)
+
+    @pytest.mark.parametrize("side", [None, 3, "plus"])
+    def test_coverage_side_of_any_other_type(self, side, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew trials before checking side")
+
+        monkeypatch.setattr(montecarlo, "_trial_blocks", no_draws)
+        with pytest.raises(DomainError, match=f"^side must be a TailSide, got {type(side).__name__}$"):
+            iid_coverage(10, 100, 0, (0.5,), side)
