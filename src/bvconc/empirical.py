@@ -40,10 +40,9 @@ concurrently.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -86,7 +85,7 @@ def _float64(values, read=np.array) -> np.ndarray:
 
 def _pair_error(pairs: Sequence, rest: Iterable) -> DomainError:
     """The error for the entry of ``pairs`` last taken from its iterator ``rest``."""
-    i = len(pairs) - operator.length_hint(rest) - 1
+    i = len(pairs) - length_hint(rest) - 1
     return DomainError(f"pair {i} must be a (real value, label) pair, got {pairs[i]!r}")
 
 

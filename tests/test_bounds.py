@@ -293,11 +293,6 @@ class TestSideCheckedFirst:
         with pytest.raises(DomainError, match=message):
             self.CALLS[name](side)
 
-    @pytest.mark.parametrize("name", list(CALLS))
-    def test_every_tail_side_accepted(self, name):
-        for side in TailSide:
-            self.CALLS[name](side)
-
 
 class TestTwoSampleBracket:
     """``two_sample_critical`` doubles until the bound reaches alpha, with no iteration cap."""

@@ -638,13 +638,13 @@ if __name__ == "__main__":
     record_zero_eps_reports()
 
 
-class TestUnreachedMonteCarloChecks:
+class TestMonteCarloArgumentChecks:
     @pytest.mark.parametrize("n", [0, -3])
     def test_binomial_needs_a_trial(self, n):
         with pytest.raises(DomainError, match=f"^binomial trial count must be >= 1, got {n}$"):
             BinomialHalf(n)
 
-    @pytest.mark.parametrize("side", [None, 3, "plus"])
+    @pytest.mark.parametrize("side", [None, 3])
     def test_coverage_side_of_any_other_type(self, side, monkeypatch):
         def no_draws(*args):
             raise AssertionError("drew trials before checking side")
