@@ -48,11 +48,12 @@ finite; cluster labels may not be empty.  Errors name
 the first bad row (and column), counting non-blank records with the header
 as row 1.  Two readers implement this dialect.  The fast one takes the header
 as the first ``csv.reader`` record and has numpy's C reader parse the rest
-straight into float64.  The reference reads every row with ``csv.reader`` and
-``float(cell.strip())``; it runs only when the fast one cannot read the whole
-file, and it either returns the same arrays or names the first fault.  An
-input that is not a regular file (a pipe or a FIFO) is read into memory once,
-and both readers take that copy.
+straight into float64: a regular file from its path, which numpy reads in
+blocks, and anything else from the handle, line by line.  The reference reads
+every row with ``csv.reader`` and ``float(cell.strip())``; it runs only when
+the fast one cannot read the whole file, and it either returns the same
+arrays or names the first fault.  An input that is not a regular file (a pipe
+or a FIFO) is read into memory once, and both readers take that copy.
 """
 
 from __future__ import annotations
@@ -147,11 +148,11 @@ def _panel_header(path: str, header: list[str]) -> int:
     return len(header)
 
 
-def _records(path: str, fh: TextIO) -> Iterator[list[str]]:
-    """The non-blank ``csv.reader`` records of ``fh``; one it cannot read is a DataFormatError."""
+def _records(path: str, reader: Iterator[list[str]]) -> Iterator[list[str]]:
+    """The non-blank records of a ``csv.reader``; one it cannot read is a DataFormatError."""
     row_no = 0
     try:
-        for row_no, row in enumerate(filter(None, csv.reader(fh)), start=1):
+        for row_no, row in enumerate(filter(None, reader), start=1):
             yield row
     except csv.Error as exc:  # a cell over csv.field_size_limit()
         raise DataFormatError(f"{path}: row {row_no + 1}: {exc}") from exc
@@ -218,7 +219,7 @@ def _read_reference(
     when given, is the content of ``path`` already read, and is read instead.
     """
     with _text(open(path, "rb") if data is None else io.BytesIO(data)) as fh:
-        rows = list(_records(path, fh))
+        rows = list(_records(path, csv.reader(fh)))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]
@@ -242,21 +243,31 @@ def _read_reference(
     return header, np.array(numbers, dtype=np.float64), labels
 
 
+# names that numpy's loadtxt would decompress by suffix when given as a path
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.ndarray, list[str]]:
     """The stripped header of ``path``, its numeric cells as a 2-d float64 array, and its labels.
 
     The header is the first non-blank ``csv.reader`` record; numpy's C reader
-    parses the rest of the same handle straight into float64 (a ``value``
-    float and a ``cluster`` str per row when the file has a label column).
-    Its float grammar is a subset of ``float(cell.strip())`` and correctly
-    rounded, so every number it reads has the reference's bits.  Anything it
-    cannot read whole (a ragged row, a cell outside its grammar, a non-finite
-    number, an empty label, a cell over ``csv.field_size_limit()``, no data
-    rows) is re-read by :func:`_read_reference`, which returns the table or
-    names the first fault; a file that :func:`_may_hold_long_cell` goes there
-    unread.  An input that is not a regular file (a pipe or a FIFO) can be
-    read only once, so it is read into memory first, and both readers and the
-    long-cell check take that copy; their messages still name ``path``.
+    parses the rest straight into float64 (a ``value`` float and a ``cluster``
+    str per row when the file has a label column).  Its float grammar is a
+    subset of ``float(cell.strip())`` and correctly rounded, so every number
+    it reads has the reference's bits.  A regular file reaches numpy as its
+    absolute path, which numpy reads in blocks, skipping the physical lines
+    the header took; a name numpy would decompress by its suffix, and an
+    input that is not a regular file, reach it as the handle the header came
+    from, one line at a time.  Anything it cannot read whole (a ragged row, a
+    cell outside its grammar, a non-finite number, an empty label, a cell
+    over ``csv.field_size_limit()``, no data rows, text that is not UTF-8) is
+    re-read by :func:`_read_reference`, which returns the table or names the
+    first fault, and so is a file with a label that holds a line break: numpy
+    opens a path with universal newlines, which may have turned a CR LF in a
+    quoted label into a LF.  A file that :func:`_may_hold_long_cell` goes
+    there unread.  An input that is not a regular file (a pipe or a FIFO) can
+    be read only once, so it is read into memory first, and both readers and
+    the long-cell check take that copy; their messages still name ``path``.
     """
     raw, data = open(path, "rb"), None
     if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe or FIFO: read it once
@@ -264,7 +275,8 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
             data = raw.read()
         raw = io.BytesIO(data)
     with _text(raw) as fh:
-        header = next(_records(path, fh), None)
+        reader = csv.reader(fh)
+        header = next(_records(path, reader), None)
         if header is None:  # an empty file, which the reference reports
             return _read_reference(path, check_header, data)
         header = [cell.strip() for cell in header]
@@ -272,32 +284,46 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
         # loadtxt has no field size limit; the reference reports one
         if _may_hold_long_cell(path, data):
             return _read_reference(path, check_header, data)
+        name = os.fsdecode(path)
+        if data is None and not name.endswith(_COMPRESSED_SUFFIXES):
+            # absolute, so numpy never takes it for a URL; not normalized, so ".."
+            # after a symlink resolves as open() resolves it
+            source = name if os.path.isabs(name) else os.path.join(os.getcwd(), name)
+            skiprows = reader.line_num
+        else:
+            source, skiprows = fh, 0
         labelled = numeric < len(header)  # the one labelled layout is value,cluster
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 body = np.loadtxt(
-                    fh,
+                    source,
                     dtype=[("value", "f8"), ("cluster", object)] if labelled else np.float64,
                     delimiter=",",
                     quotechar='"',
                     comments=None,
+                    skiprows=skiprows,
+                    encoding="utf-8",
                     ndmin=1 if labelled else 2,
                 )
-        except ValueError:
+        except ValueError:  # UnicodeDecodeError included
             body = None
     if body is None or not body.size:
         return _read_reference(path, check_header, data)
     if labelled:
         numbers = body["value"][:, np.newaxis]
-        cells = body["cluster"].tolist()
-        # loadtxt has no field size limit; the reference reports a label over csv's
-        if max(map(len, cells)) > csv.field_size_limit():
+        labels = body["cluster"].tolist()
+        # each distinct label is checked once: one over csv's field limit (loadtxt
+        # has none), an empty one, or one with a line break goes to the reference
+        distinct = dict.fromkeys(labels)
+        limit = csv.field_size_limit()
+        if any(len(label) > limit or "\n" in label or not label.strip() for label in distinct):
             return _read_reference(path, check_header, data)
-        labels = list(map(str.strip, cells))
+        if any(label.strip() != label for label in distinct):
+            labels = list(map(str.strip, labels))
     else:
         numbers, labels = body, []
-    if numbers.shape[1] != numeric or not np.isfinite(numbers).all() or "" in labels:
+    if numbers.shape[1] != numeric or not np.isfinite(numbers).all():
         return _read_reference(path, check_header, data)
     return header, numbers, labels
 

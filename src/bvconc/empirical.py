@@ -75,18 +75,21 @@ def _label_codes(labels: Iterable[Hashable], n: int) -> np.ndarray:
         raise DomainError(f"cluster labels must be hashable: {exc}") from None
 
 
-def _float64(values, read=np.array) -> np.ndarray:
-    """``read(values, dtype=np.float64)``; a value that is not a real number is a DomainError."""
+def _float64(values, what="observation values", read=np.array, error=DomainError) -> np.ndarray:
+    """``read(values, dtype=np.float64)``; a value that is not a real number raises ``error`` naming ``what``."""
     try:
         return read(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"observation values must be real numbers: {exc}") from None
+        raise error(f"{what} must be real numbers: {exc}") from None
 
 
-def _pair_error(pairs: Sequence, rest: Iterable) -> DomainError:
-    """The error for the entry of ``pairs`` last taken from its iterator ``rest``."""
-    i = len(pairs) - length_hint(rest) - 1
+def _pair_error(pairs: Sequence, i: int) -> DomainError:
     return DomainError(f"pair {i} must be a (real value, label) pair, got {pairs[i]!r}")
+
+
+def _taken(pairs: Sequence, rest: Iterable) -> int:
+    """The index of the entry of ``pairs`` last taken from its iterator ``rest``."""
+    return len(pairs) - length_hint(rest) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +168,9 @@ class ClusteredSample:
 
         An entry that is not a pair, or whose value is not a real number, is
         named by its index: each pass reads the pairs through its own
-        iterator, which stops just past the entry that failed.
+        iterator, which stops just past the entry that failed.  A ``None``
+        value, which ``np.fromiter`` reads as nan, is looked for only once the
+        finiteness check has failed.
         """
         if not isinstance(pairs, (list, tuple)):
             pairs = list(pairs)
@@ -173,12 +178,17 @@ class ClusteredSample:
         try:
             values = np.fromiter(map(itemgetter(0), rest), dtype=np.float64, count=len(pairs))
         except (TypeError, ValueError, LookupError):
-            raise _pair_error(pairs, rest) from None
+            raise _pair_error(pairs, _taken(pairs, rest)) from None
         rest = iter(pairs)
         try:
             return cls._built(values, map(itemgetter(1), rest))
         except LookupError:
-            raise _pair_error(pairs, rest) from None
+            raise _pair_error(pairs, _taken(pairs, rest)) from None
+        except DomainError:
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size and pairs[bad[0]][0] is None:
+                raise _pair_error(pairs, int(bad[0])) from None
+            raise
 
     @classmethod
     def iid(cls, values: Iterable[float]) -> "ClusteredSample":
@@ -187,7 +197,7 @@ class ClusteredSample:
         The codes, sizes and ECDF equal those of ``cluster_ids=range(n)``.
         """
         read = np.array if isinstance(values, np.ndarray) else np.fromiter
-        return cls._built(_float64(values, read), None)
+        return cls._built(_float64(values, read=read), None)
 
     @property
     def n(self) -> int:
@@ -209,8 +219,8 @@ class StepCdf:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        jumps = np.asarray(self.jump_points, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        jumps = _float64(self.jump_points, "jump points", np.asarray)
+        vals = _float64(self.values, "step values", np.asarray)
         # values of another rank go to the shape check unpadded
         self._store(jumps, np.concatenate(([0.0], vals)) if vals.ndim == 1 else vals)
 
@@ -376,7 +386,7 @@ def sup_distance_reference(
     """
     _two_sided(side)
     if len(extra_points):
-        pts = np.union1d(f.jump_points, np.asarray(extra_points, dtype=float))
+        pts = np.union1d(f.jump_points, _float64(extra_points, "extra_points", np.asarray))
         right, left = f.evaluate(pts), f.evaluate_left(pts)
     else:
         pts, right, left = f.jump_points, f.values, f._padded[:-1]
@@ -406,8 +416,8 @@ class TrajectoryPanel:
     k_lip: float
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        vals = np.atleast_2d(np.asarray(self.unit_values, dtype=float))
+        times = _float64(self.times, "times", np.asarray, DataFormatError)
+        vals = np.atleast_2d(_float64(self.unit_values, "unit values", np.asarray, DataFormatError))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "unit_values", vals)
         if times.ndim != 1 or times.size == 0:

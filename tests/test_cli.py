@@ -8,6 +8,7 @@ import math
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -1566,3 +1567,157 @@ class TestImmutableDefaults:
         got = run_matrix_case(["simulate", "coverage", "--n", "100", "--trials", "300", "--seed", "7"], matrix_dir)
         assert got["exit"] == 0
         assert (got["stdout"], got["stderr"]) == (want, "")
+
+
+def loadtxt_spy():
+    """A patch that records every ``np.loadtxt`` call ``bvconc.cli`` makes and passes it on."""
+    return mock.patch.object(cli.np, "loadtxt", wraps=np.loadtxt)
+
+
+def sources(spy):
+    """The first argument of each recorded ``np.loadtxt`` call."""
+    return [call.args[0] for call in spy.call_args_list]
+
+
+def assert_fast_matches_reference(path):
+    """The array reader's sample from ``path`` has the reference's bits; returns its reference calls."""
+    with mock.patch.object(cli, "_read_reference", wraps=_read_reference) as spy:
+        fast = ingest_outcome(_ingest_clustered, path, _read_table)
+    (sample, notes), (expected, expected_notes) = fast, ingest_outcome(_ingest_clustered, path, _read_reference)
+    assert sample.values.tobytes() == expected.values.tobytes()
+    assert sample.cluster_ids.tobytes() == expected.cluster_ids.tobytes()
+    assert sample.cluster_spec().sizes == expected.cluster_spec().sizes
+    assert notes == expected_notes
+    return spy.call_count
+
+
+# the suffixes numpy's loadtxt decompresses by when it opens a path
+COMPRESSED_SUFFIXES = [".gz", ".bz2", ".xz", ".lzma"]
+
+
+class NetworkLookup(Exception):
+    """A host name lookup, which no CSV read may make."""
+
+
+class TestPathRead:
+    """numpy reads a regular file from its path, in blocks; other inputs reach it as the handle."""
+
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    def test_regular_file_arrives_as_an_absolute_path(self, tmp_path, monkeypatch, relative):
+        path = write_raw(tmp_path, "x.csv", CLUSTERED)
+        monkeypatch.chdir(tmp_path)
+        with loadtxt_spy() as spy:
+            _read_table("x.csv" if relative else path, _clustered_header)
+        (source,) = sources(spy)
+        assert isinstance(source, str) and os.path.isabs(source)
+        assert source == path
+
+    @pytest.mark.parametrize("spell", [Path, os.fsencode], ids=["pathlib", "bytes"])
+    def test_path_objects_arrive_as_a_str(self, tmp_path, spell):
+        path = write_raw(tmp_path, "x.csv", CLUSTERED)
+        with loadtxt_spy() as spy:
+            sample = ingest_clustered_csv(spell(path))
+        assert sources(spy) == [path]
+        assert sample.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_panel_arrives_as_an_absolute_path(self, tmp_path):
+        path = write_raw(tmp_path, "t.csv", "time,unit_1\n0.0,0.1\n1.0,0.2\n")
+        with loadtxt_spy() as spy:
+            ingest_trajectory_csv(path, 1.0)
+        assert sources(spy) == [path]
+
+    @pytest.mark.parametrize("suffix", COMPRESSED_SUFFIXES)
+    def test_compressed_name_arrives_as_the_handle(self, tmp_path, suffix):
+        path = write_raw(tmp_path, "x" + suffix, CLUSTERED)
+        with loadtxt_spy() as spy:
+            _read_table(path, _clustered_header)
+        (source,) = sources(spy)
+        assert isinstance(source, io.TextIOBase)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+    def test_pipe_arrives_as_the_handle(self):
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, CLUSTERED.encode("utf-8"))  # far below a pipe's buffer
+        os.close(write_fd)
+        try:
+            with loadtxt_spy() as spy:
+                _, numbers, labels = _read_table(f"/dev/fd/{read_fd}", _clustered_header)
+        finally:
+            os.close(read_fd)
+        (source,) = sources(spy)
+        assert isinstance(source, io.TextIOBase)
+        assert (numbers.ravel().tolist(), labels) == ([1.0, 2.0, 3.0], ["a", "a", "b"])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_arrives_as_the_handle(self, tmp_path):
+        path = str(tmp_path / "fifo.csv")
+        os.mkfifo(path)
+        writer = feed(partial(open, path, "wb"), CLUSTERED.encode("utf-8"))
+        try:
+            with loadtxt_spy() as spy:
+                _, numbers, labels = _read_table(path, _clustered_header)
+        finally:
+            if writer.is_alive():  # let a writer still waiting to open, or to write, end
+                os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(WRITER_TIMEOUT)
+        assert not writer.is_alive()
+        (source,) = sources(spy)
+        assert isinstance(source, io.TextIOBase)
+        assert (numbers.ravel().tolist(), labels) == ([1.0, 2.0, 3.0], ["a", "a", "b"])
+
+    @pytest.mark.parametrize("suffix", [".gz", ".xz"])
+    def test_plain_text_with_a_compressed_suffix(self, tmp_path, suffix):
+        assert_fast_matches_reference(write_raw(tmp_path, "x" + suffix, CLUSTERED))
+
+    def test_url_shaped_relative_path(self, tmp_path, monkeypatch):
+        (tmp_path / "http:" / "example.invalid").mkdir(parents=True)
+        write_raw(tmp_path / "http:" / "example.invalid", "x.csv", CLUSTERED)
+        lookups = []
+
+        def lookup(*args, **kwargs):
+            lookups.append(args)
+            raise NetworkLookup(args)
+
+        monkeypatch.setattr(socket, "getaddrinfo", lookup)
+        monkeypatch.chdir(tmp_path)
+        path = "http://example.invalid/x.csv"
+        assert os.path.isfile(path)
+        assert_fast_matches_reference(path)
+        assert lookups == []
+
+    def test_crlf_file_with_labels_differing_by_a_line_break(self, tmp_path):
+        labels = ['"a\r\nb"', '"a\nb"', "c", " c ", '"a\rb"']
+        rows = [f"{i / 7!r},{labels[i % len(labels)]}" for i in range(60_000)]
+        path = write_raw(tmp_path, "crlf.csv", "\r\n".join(["value,cluster", *rows]) + "\r\n")
+        assert os.path.getsize(path) >= 1 << 20
+        assert_fast_matches_reference(path)
+        sample, _ = _ingest_clustered(path)
+        assert sample.cluster_spec().sizes == (12_000, 12_000, 24_000, 12_000)
+
+    def test_multi_line_header_after_blank_lines(self, tmp_path):
+        rows = [f"{i / 7!r},c{i % 97}" for i in range(60_000)]
+        text = '\n\r\n\n"value\r\n\n",cluster\r\n' + "\n".join(rows) + "\n"
+        path = write_raw(tmp_path, "header.csv", text)
+        assert os.path.getsize(path) >= 1 << 20
+        assert assert_fast_matches_reference(path) == 0  # read whole by numpy, past all six lines
+        assert _ingest_clustered(path)[0].n == 60_000
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symbolic links")
+    def test_dot_dot_after_a_symlink_resolves_as_open_does(self, tmp_path, monkeypatch):
+        (tmp_path / "real" / "dir").mkdir(parents=True)
+        write_raw(tmp_path / "real", "x.csv", CLUSTERED)
+        write_raw(tmp_path, "x.csv", "value,cluster\n9.0,z\n")  # where ".." would lead lexically
+        try:
+            (tmp_path / "link").symlink_to(tmp_path / "real" / "dir", target_is_directory=True)
+        except OSError as exc:  # not permitted here
+            pytest.skip(str(exc))
+        monkeypatch.chdir(tmp_path)
+        path = os.path.join("link", "..", "x.csv")
+        assert assert_fast_matches_reference(path) == 0
+        assert _ingest_clustered(path)[0].values.tolist() == [1.0, 2.0, 3.0]

@@ -1184,3 +1184,69 @@ class TestUnreachedPanelAndStepChecks:
     def test_single_point_grid_has_zero_delta(self):
         panel = TrajectoryPanel(times=[0.5], unit_values=[[0.2], [0.4]], k_lip=1.0)
         assert panel.delta == 0.0 and type(panel.delta) is float
+
+
+class TestNonNumericArrayInput:
+    """A cell that is not a real number raises the class's typed error, naming the argument."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: StepCdf(["a"], [1.0]), DomainError, "jump points must be real numbers"),
+            (lambda: StepCdf([0.5], ["x"]), DomainError, "step values must be real numbers"),
+            (
+                lambda: TrajectoryPanel(times=["a"], unit_values=[[0.1]], k_lip=1.0),
+                DataFormatError,
+                "times must be real numbers",
+            ),
+            (
+                lambda: TrajectoryPanel(times=[0.0, 1.0], unit_values=[["a", 0.1]], k_lip=1.0),
+                DataFormatError,
+                "unit values must be real numbers",
+            ),
+            (
+                lambda: sup_distance_reference(
+                    StepCdf([0.5], [1.0]), lambda r: np.clip(r, 0.0, 1.0), TailSide.PLUS, extra_points=["a"]
+                ),
+                DomainError,
+                "extra_points must be real numbers",
+            ),
+        ],
+        ids=["jump-points", "step-values", "times", "unit-values", "extra-points"],
+    )
+    def test_names_the_argument(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}: could not convert string to float: "):
+            build()
+
+    def test_numeric_strings_still_parse(self):
+        assert StepCdf(["0.5"], ["1"]).jump_points.tolist() == [0.5]
+        panel = TrajectoryPanel(times=["0", "1"], unit_values=[["0.1", "0.2"]], k_lip=1.0)
+        assert panel.unit_values.tolist() == [[0.1, 0.2]]
+
+
+class TestNoneValueInPairs:
+    """``np.fromiter`` reads a ``None`` value as nan; the error names its entry instead."""
+
+    @pytest.mark.parametrize(
+        "pairs, shown",
+        [
+            ([(None, "a"), (1.0, "b")], "pair 0 must be a (real value, label) pair, got (None, 'a')"),
+            ([(1.0, "a"), (2.0, "b"), (None, "c")], "pair 2 must be a (real value, label) pair, got (None, 'c')"),
+            (iter([(1.0, "a"), (None, 3)]), "pair 1 must be a (real value, label) pair, got (None, 3)"),
+        ],
+    )
+    def test_names_the_entry(self, pairs, shown):
+        with pytest.raises(DomainError, match=f"^{re.escape(shown)}$"):
+            ClusteredSample.from_pairs(pairs)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(math.nan, "a"), (None, "b")], "observation values must be finite, got nan"),
+            ([(1.0, "a"), (math.inf, "b"), (None, "c")], "observation values must be finite, got inf"),
+        ],
+        ids=["nan-first", "inf-first"],
+    )
+    def test_first_non_finite_value_decides(self, pairs, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ClusteredSample.from_pairs(pairs)
