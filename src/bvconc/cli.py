@@ -247,7 +247,17 @@ def _read_reference(
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.ndarray, list[str]]:
+def _names_open_file(name: str, fd: int) -> bool:
+    """Whether ``name`` still leads to the file open as ``fd`` (same device and inode)."""
+    try:
+        return os.path.samestat(os.stat(name), os.fstat(fd))
+    except OSError:
+        return False
+
+
+def _read_table(
+    path: str, check_header: HeaderCheck, data: bytes | None = None
+) -> tuple[list[str], np.ndarray, list[str]]:
     """The stripped header of ``path``, its numeric cells as a 2-d float64 array, and its labels.
 
     The header is the first non-blank ``csv.reader`` record; numpy's C reader
@@ -268,11 +278,19 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
     there unread.  An input that is not a regular file (a pipe or a FIFO) can
     be read only once, so it is read into memory first, and both readers and
     the long-cell check take that copy; their messages still name ``path``.
+    A regular file whose name, once numpy has read it, no longer leads to
+    the file the header came from (removed, or renamed over, so numpy read
+    another file or a sibling it decompressed) takes that route too: the open
+    handle is read into memory from byte 0 and the table read again from
+    that copy.  ``data``, when given, is the content of ``path`` already
+    read, and is read instead.
     """
-    raw, data = open(path, "rb"), None
-    if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe or FIFO: read it once
-        with raw:
-            data = raw.read()
+    if data is None:
+        raw = open(path, "rb")
+        if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe or FIFO: read it once
+            with raw:
+                data = raw.read()
+    if data is not None:
         raw = io.BytesIO(data)
     with _text(raw) as fh:
         reader = csv.reader(fh)
@@ -306,8 +324,11 @@ def _read_table(path: str, check_header: HeaderCheck) -> tuple[list[str], np.nda
                     encoding="utf-8",
                     ndmin=1 if labelled else 2,
                 )
-        except ValueError:  # UnicodeDecodeError included
+        except (ValueError, OSError):  # UnicodeDecodeError included; OSError: the name is gone
             body = None
+        if source is not fh and not _names_open_file(source, raw.fileno()):
+            raw.seek(0)
+            return _read_table(path, check_header, raw.read())
     if body is None or not body.size:
         return _read_reference(path, check_header, data)
     if labelled:

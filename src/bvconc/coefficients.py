@@ -69,6 +69,25 @@ class RangeSpec:
         return self.hi - self.lo
 
 
+def _check_range(name: str, r) -> None:
+    """Reject a range that is not a :class:`RangeSpec`, naming it ``name``."""
+    if not isinstance(r, RangeSpec):
+        raise DomainError(f"{name} must be a RangeSpec, got {type(r).__name__}")
+
+
+def _ranges(ranges: Sequence[RangeSpec]) -> tuple[RangeSpec, ...]:
+    """``ranges`` as a tuple, each entry checked by :func:`_check_range`."""
+    try:
+        ranges = tuple(ranges)
+    except TypeError:
+        raise DomainError(
+            f"ranges must be a sequence of RangeSpec, got {type(ranges).__name__}"
+        ) from None
+    for i, r in enumerate(ranges):
+        _check_range(f"range {i}", r)
+    return ranges
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """Deterministic, known cluster sizes of a block-independent sample.
@@ -132,12 +151,9 @@ class FiniteTheta:
     ranges: tuple[RangeSpec, ...]
 
     def __init__(self, ranges: Sequence[RangeSpec]) -> None:
-        object.__setattr__(self, "ranges", tuple(ranges))
+        object.__setattr__(self, "ranges", _ranges(ranges))
         if not self.ranges:
             raise DomainError("finite parameter case needs at least one range")
-        for i, r in enumerate(self.ranges):
-            if not isinstance(r, RangeSpec):
-                raise DomainError(f"range {i} must be a RangeSpec, got {type(r).__name__}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +161,9 @@ class MonotoneReal:
     """Monotone in a real parameter, values in a single range."""
 
     range: RangeSpec
+
+    def __post_init__(self) -> None:
+        _check_range("range", self.range)
 
 
 def _integer(name: str, value) -> int:
@@ -169,6 +188,7 @@ class _Lipschitz:
     k_lip: float
 
     def __post_init__(self) -> None:
+        _check_range("range", self.range)
         _check_k_lip(self.k_lip)
 
 
@@ -185,7 +205,7 @@ DownwardVariationCase = Union[FiniteTheta, MonotoneReal, LipschitzDifferentiable
 
 def mcdiarmid_from_ranges(ranges: Sequence[RangeSpec]) -> float:
     """McDiarmid coefficient n^2 / sum of squared widths for an average of n functions."""
-    ranges = tuple(ranges)
+    ranges = _ranges(ranges)
     if not ranges:
         raise DomainError("need at least one range")
     n = len(ranges)

@@ -19,8 +19,10 @@ its value is the stored height and its left limit the height before.  So
 the two-sample union is never merged, and F's own jumps are not visited:
 one binary search places G's jumps among F's, which gives F at each of G's
 jumps, and the rank one lower wherever F also jumps there gives F's left
-limit.  A scalar-only reference CDF is called point by point in bounded
-chunks, so no step holds a Python float for every point.
+limit.  A reference CDF's values are checked and compared with the step
+function in bounded chunks, and a scalar-only one is called point by point
+in those chunks, so no step holds a Python float for every point or a
+temporary as long as the jump set beyond the reference values themselves.
 
 For trajectories only observed on a time grid the sup cannot be attained, so
 ``lipschitz_sup_interval`` returns a certified enclosure instead: the grid
@@ -30,11 +32,12 @@ constant of the difference (2K) gives an upper bound.
 A ``ClusteredSample`` numbers its cluster labels in one dict pass (which
 ``from_pairs`` feeds straight from the pairs; ``iid`` numbers the
 observations with no dict pass, and the CLI hands over the codes of the
-pass it made while reading a file) and builds
-its cluster spec and ECDF once, at construction, and stores them beside
-read-only arrays, so every test on the sample reuses them and instances stay
-immutable and safe to share.  Everything here is pure and safe to call
-concurrently.
+pass it made while reading a file) and builds its cluster spec and ECDF
+once, at construction, and stores them beside read-only arrays, so every
+test on the sample reuses them and instances stay immutable and safe to
+share.  The ECDF comes from one sorted copy of the values, whose run starts
+give the heights, without the other temporaries of ``np.unique``.
+Everything here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -254,20 +257,36 @@ class StepCdf:
 
     @classmethod
     def empirical(cls, values: np.ndarray) -> "StepCdf":
-        """Empirical CDF of ``values``: jump (tie count)/n at each distinct value.
+        """Empirical CDF of ``values`` (flattened): jump (tie count)/n at each distinct value.
 
-        The jump points are stored read-only, like the heights, which are
-        summed and scaled in place in the array the CDF keeps.
+        The jumps and heights are those of ``np.unique(values,
+        return_counts=True)`` and the cumulated counts over n, bit for bit,
+        built without its temporaries.  One flattened copy is sorted in place
+        with the same default sort, so a run of equal keys such as -0.0 and
+        0.0 keeps the same first element as its jump point.  The height at a
+        run is the start of the next run (n after the last), written into the
+        array the CDF keeps and divided by n there.  Without ties the sorted
+        copy is the jump array itself.  Both are stored read-only.
         """
-        values = np.asarray(values, dtype=float)
-        uniq, counts = np.unique(values, return_counts=True)
-        uniq.setflags(write=False)
-        padded = np.empty(uniq.size + 1)
+        ordered = np.array(values, dtype=float, order="C").reshape(-1)
+        ordered.sort()
+        n = ordered.size
+        # a run starts where a value differs from the one before; the mask is
+        # freed as its name passes to the run starts
+        starts = np.empty(n, dtype=bool)
+        starts[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts)
+        jumps = ordered if starts.size == n else ordered[starts]
+        jumps.setflags(write=False)
+        padded = np.empty(starts.size + 1)
         padded[0] = 0.0
-        # summed in place as integers and divided straight into the kept array
-        np.divide(np.cumsum(counts, out=counts), values.size, out=padded[1:])
+        padded[1:-1] = starts[1:]
+        padded[-1] = n
+        padded[1:] /= n
+        del starts, ordered  # freed before the checks in _store allocate
         cdf = object.__new__(cls)
-        cdf._store(uniq, padded)
+        cdf._store(jumps, padded)
         return cdf
 
     def __call__(self, r):
@@ -383,6 +402,10 @@ def sup_distance_reference(
     floored at 0.  ``extra_points`` adds candidate evaluation points, useful
     when the reference is only piecewise smooth; without them F(x) and F(x-)
     at the jumps are the stored heights.
+
+    The reference values are checked and compared with F in chunks of
+    ``_REFERENCE_CHUNK``, so no temporary is longer than one chunk.  A value
+    outside [0, 1] anywhere is reported before a drop anywhere.
     """
     _two_sided(side)
     if len(extra_points):
@@ -391,13 +414,21 @@ def sup_distance_reference(
     else:
         pts, right, left = f.jump_points, f.values, f._padded[:-1]
     ref = _reference_values(ref_cdf, pts)
-    if not np.all((ref >= -1e-9) & (ref <= 1.0 + 1e-9)):  # also rejects NaN
-        raise DomainError("reference CDF values must lie in [0, 1]")
-    if np.any(np.diff(ref) < -1e-12):
+    plus = minus = -np.inf
+    dropped = False
+    for start in range(0, ref.size, _REFERENCE_CHUNK):
+        chunk = slice(start, start + _REFERENCE_CHUNK)
+        if not np.all((ref[chunk] >= -1e-9) & (ref[chunk] <= 1.0 + 1e-9)):  # also rejects NaN
+            raise DomainError("reference CDF values must lie in [0, 1]")
+        # the steps into this chunk start at the last value of the one before,
+        # which has passed the range check
+        steps = np.diff(ref[max(start - 1, 0) : chunk.stop])
+        dropped = dropped or bool(np.any(steps < -1e-12))
+        plus = max(plus, float(np.max(right[chunk] - ref[chunk])))
+        minus = max(minus, float(np.max(ref[chunk] - left[chunk])))
+    if dropped:
         raise DomainError("reference CDF must be nondecreasing")
-    plus = max(float(np.max(right - ref)), 0.0)
-    minus = max(float(np.max(ref - left)), 0.0)
-    return _pick_side(side, plus, minus)
+    return _pick_side(side, max(plus, 0.0), max(minus, 0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gzip
 import io
 import json
 import math
@@ -1721,3 +1722,43 @@ class TestPathRead:
         path = os.path.join("link", "..", "x.csv")
         assert assert_fast_matches_reference(path) == 0
         assert _ingest_clustered(path)[0].values.tolist() == [1.0, 2.0, 3.0]
+
+
+def racing_loadtxt(race):
+    """A patch that runs ``race()`` just before ``np.loadtxt`` opens a file by its name."""
+    loadtxt = np.loadtxt
+
+    def racing(source, *args, **kwargs):
+        if isinstance(source, str):
+            race()
+        return loadtxt(source, *args, **kwargs)
+
+    return mock.patch.object(cli.np, "loadtxt", side_effect=racing)
+
+
+OTHER_ROWS = "value,cluster\n7.0,z\n8.0,z\n9.0,z\n"
+
+
+class TestNameChangedUnderTheRead:
+    """A name that no longer leads to the open file once numpy has read it: the handle's bytes are read."""
+
+    def assert_read_from_the_handle(self, path, spy):
+        _, numbers, labels = _read_table(path, _clustered_header)
+        assert (numbers.ravel().tolist(), labels) == ([1.0, 2.0, 3.0], ["a", "a", "b"])
+        kinds = [isinstance(source, str) for source in sources(spy)]
+        assert kinds == [True, False]  # the name once, then the in-memory copy
+
+    @pytest.mark.parametrize("sibling", [True, False], ids=["gz-sibling", "no-sibling"])
+    def test_removed(self, tmp_path, sibling):
+        path = write_raw(tmp_path, "x.csv", CLUSTERED)
+        if sibling:  # numpy would decompress it in place of the missing name
+            with gzip.open(path + ".gz", "wt", encoding="utf-8") as gz:
+                gz.write(OTHER_ROWS)
+        with racing_loadtxt(partial(os.remove, path)) as spy:
+            self.assert_read_from_the_handle(path, spy)
+
+    def test_renamed_over(self, tmp_path):
+        path = write_raw(tmp_path, "x.csv", CLUSTERED)
+        other = write_raw(tmp_path, "y.csv", OTHER_ROWS)
+        with racing_loadtxt(partial(os.replace, other, path)) as spy:
+            self.assert_read_from_the_handle(path, spy)

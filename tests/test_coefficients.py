@@ -293,3 +293,29 @@ class TestFiniteThetaEntries:
     def test_unknown_case(self):
         with pytest.raises(DomainError, match="^unknown downward-variation case: 3$"):
             downward_variation(3)
+
+
+class TestRangeType:
+    """A range that is not a ``RangeSpec`` raises a DomainError naming it, wherever a range is taken."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            MonotoneReal,
+            lambda r: LipschitzDifferentiable(r, 1.0),
+            lambda r: LipschitzOneSided(r, 1.0),
+        ],
+        ids=["monotone", "differentiable", "one-sided"],
+    )
+    def test_single_range_case(self, make):
+        with pytest.raises(DomainError, match="^range must be a RangeSpec, got str$"):
+            make("x")
+
+    def test_mcdiarmid_entry(self):
+        with pytest.raises(DomainError, match="^range 1 must be a RangeSpec, got tuple$"):
+            mcdiarmid_from_ranges([RangeSpec(0, 1), (0, 1)])
+
+    @pytest.mark.parametrize("call", [FiniteTheta, mcdiarmid_from_ranges], ids=["finite-theta", "mcdiarmid"])
+    def test_not_a_sequence(self, call):
+        with pytest.raises(DomainError, match="^ranges must be a sequence of RangeSpec, got int$"):
+            call(5)

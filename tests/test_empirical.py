@@ -1250,3 +1250,111 @@ class TestNoneValueInPairs:
     def test_first_non_finite_value_decides(self, pairs, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             ClusteredSample.from_pairs(pairs)
+
+
+def unique_oracle(values):
+    """Jumps and heights from ``np.unique(values, return_counts=True)``, the ECDF's reference."""
+    uniq, counts = np.unique(values, return_counts=True)
+    return uniq, np.cumsum(counts) / counts.sum()
+
+
+class TestStepCdfEmpiricalMatchesUnique:
+    """``StepCdf.empirical`` sorts one flattened copy itself; it keeps ``np.unique``'s bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sampled_from(["array", "list", "2-d", "2-d-fortran"]),
+    )
+    @example([-0.0, 0.0, -0.0, 0.0, 0.0, -0.0], "array")
+    @example([0.0, -0.0, 1.0, -0.0, 0.0, 1.0], "2-d-fortran")
+    @example([2.5], "list")
+    def test_matches_unique_byte_for_byte(self, values, form):
+        array = np.array(values)
+        if form == "list":
+            given_values = values
+        elif form == "2-d":
+            given_values = array.reshape(2, -1) if array.size % 2 == 0 else array.reshape(1, -1)
+        elif form == "2-d-fortran":
+            given_values = np.asfortranarray(array.reshape(-1, 2) if array.size % 2 == 0 else array[:, None])
+        else:
+            given_values = array
+        jumps, heights = unique_oracle(given_values)
+        built = StepCdf.empirical(given_values)
+        assert built.jump_points.tobytes() == jumps.tobytes()
+        assert built.values.tobytes() == heights.tobytes()
+        assert not built.jump_points.flags.writeable and not built.values.flags.writeable
+
+    def test_peak_memory_is_bounded(self):
+        # distinct values: the jumps and the padded heights it keeps, and the run
+        # starts, one int each; np.unique's temporaries took about 33 bytes a value
+        n = 2**18
+        values = np.random.default_rng(5).random(n)
+        tracemalloc.start()
+        try:
+            built = StepCdf.empirical(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built.jump_points.size == n
+        assert peak <= 8 * (3 * n + 1) + 2**16
+
+
+def faulty_identity(faults):
+    """An array reference equal to its points, but for ``faults``: (index, value) pairs."""
+
+    def ref(r):
+        out = np.array(r, dtype=float)
+        for at, value in faults:
+            out[at] = value(out) if callable(value) else value
+        return out
+
+    return ref
+
+
+class TestReferenceChecksAcrossChunks:
+    """The reference values are checked chunk by chunk, with the errors of one whole-array pass."""
+
+    def cdf(self):
+        assert CHUNKED_POINTS > 2 * _REFERENCE_CHUNK
+        return StepCdf.empirical(np.linspace(0.0, 1.0, CHUNKED_POINTS))
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            [(5, 0.0), (2 * _REFERENCE_CHUNK + 3, 1.5)],
+            [(2 * _REFERENCE_CHUNK + 3, 0.0), (5, -0.5)],
+            [(_REFERENCE_CHUNK, 0.0), (CHUNKED_POINTS - 1, math.nan)],
+        ],
+        ids=["drop-then-range", "range-then-drop", "boundary-drop-then-nan"],
+    )
+    def test_range_error_comes_first(self, faults):
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            sup_distance_reference(self.cdf(), faulty_identity(faults), TailSide.TWO_SIDED)
+
+    @pytest.mark.parametrize("at", [_REFERENCE_CHUNK, 2 * _REFERENCE_CHUNK])
+    def test_drop_at_a_chunk_boundary(self, at):
+        # only the pair across the boundary falls; the step after it rises again
+        lower = (at, lambda out: out[at - 1] - 1e-9)
+        with pytest.raises(DomainError, match="must be nondecreasing"):
+            sup_distance_reference(self.cdf(), faulty_identity([lower]), TailSide.TWO_SIDED)
+
+    def test_peak_memory_is_bounded(self):
+        # the reference's own array, one float64 a point, plus bounded chunks; one
+        # np.diff, one boolean mask and one difference of the whole array took 17
+        n = 2**18
+        f = StepCdf.empirical(np.linspace(0.0, 1.0, n))
+        tracemalloc.start()
+        try:
+            sup_distance_reference(f, uniform_cdf, TailSide.TWO_SIDED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 2**20
