@@ -170,7 +170,7 @@ def _text(raw: BinaryIO) -> TextIO:
 _LONG_CELL_PROBE = 1 << 13
 
 
-def _may_hold_long_cell(path: str, data: bytes | None) -> bool:
+def _may_hold_long_cell(path: str, source: bytes | int | None) -> bool:
     """Whether ``path`` may hold a cell longer than ``csv.field_size_limit()``.
 
     Such a cell, unquoted or quoted on one line, lies in a run of more bytes
@@ -179,31 +179,35 @@ def _may_hold_long_cell(path: str, data: bytes | None) -> bool:
     half the limit plus one bytes, so a block whose first
     ``_LONG_CELL_PROBE`` bytes hold a line feed and a comma is cleared; any
     other is read whole, and one with no comma and no quote counts only if
-    the file holds a quote.  The blocks are read from ``data``, the copy of
-    an input that is not a regular file, or else through a second handle on
-    ``path``: a memory map would add the whole file to the resident set.
+    the file holds a quote.  The blocks are read from ``source``: the copy of
+    an input that is not a regular file, or the descriptor of the open file,
+    read with ``os.pread`` so that the handle's position does not move
+    (``None`` opens ``path``).  A memory map would add the whole file to the
+    resident set.
     """
+    if source is None:
+        with open(path, "rb", buffering=0) as raw:
+            return _may_hold_long_cell(path, raw.fileno())
+    if isinstance(source, int):
+        size = os.fstat(source).st_size
+        read = lambda start, length: os.pread(source, length, start)
+    else:
+        size = len(source)
+        read = lambda start, length: source[start : start + length]
     block = csv.field_size_limit() // 2 + 1
-    with open(path, "rb", buffering=0) if data is None else io.BytesIO(data) as raw:
-
-        def read(start: int, size: int) -> bytes:
-            raw.seek(start)
-            return raw.read(size)
-
-        size = raw.seek(0, os.SEEK_END)
-        quoted = None
-        for start in range(0, size - block + 1, block):
-            head = read(start, _LONG_CELL_PROBE)
-            if b"\n" in head and b"," in head:
-                continue
-            data = read(start, block)
-            if b"\n" not in data:
+    quoted = None
+    for start in range(0, size - block + 1, block):
+        head = read(start, _LONG_CELL_PROBE)
+        if b"\n" in head and b"," in head:
+            continue
+        chunk = read(start, block)
+        if b"\n" not in chunk:
+            return True
+        if b"," not in chunk and b'"' not in chunk:
+            if quoted is None:
+                quoted = any(b'"' in read(at, block) for at in range(0, size, block))
+            if quoted:
                 return True
-            if b"," not in data and b'"' not in data:
-                if quoted is None:
-                    quoted = any(b'"' in read(at, block) for at in range(0, size, block))
-                if quoted:
-                    return True
     return False
 
 
@@ -216,7 +220,8 @@ def _read_reference(
     parsed by ``float(cell.strip())``, and the stripped labels of the columns
     after them (``check_header`` returns how many leading columns are
     numeric).  Raises on the first bad row or cell, in file order.  ``data``,
-    when given, is the content of ``path`` already read, and is read instead.
+    when given, is the content of ``path`` already read, and is read instead;
+    :func:`_read_table` always hands it over, so it never opens ``path``.
     """
     with _text(open(path, "rb") if data is None else io.BytesIO(data)) as fh:
         rows = list(_records(path, csv.reader(fh)))
@@ -282,8 +287,11 @@ def _read_table(
     the file the header came from (removed, or renamed over, so numpy read
     another file or a sibling it decompressed) takes that route too: the open
     handle is read into memory from byte 0 and the table read again from
-    that copy.  ``data``, when given, is the content of ``path`` already
-    read, and is read instead.
+    that copy.  Otherwise a regular file is opened by its name only twice,
+    here and by numpy: the long-cell check reads the open handle's blocks,
+    and the reference reader its bytes from byte 0, so a file renamed over
+    meanwhile is not read in its place.  ``data``, when given, is the content
+    of ``path`` already read, and is read instead.
     """
     if data is None:
         raw = open(path, "rb")
@@ -292,16 +300,24 @@ def _read_table(
                 data = raw.read()
     if data is not None:
         raw = io.BytesIO(data)
+
+    def content() -> bytes:
+        """``data``, or the open file's bytes from byte 0: the name is not opened again."""
+        if data is not None:
+            return data
+        raw.seek(0)
+        return raw.read()
+
     with _text(raw) as fh:
         reader = csv.reader(fh)
         header = next(_records(path, reader), None)
         if header is None:  # an empty file, which the reference reports
-            return _read_reference(path, check_header, data)
+            return _read_reference(path, check_header, content())
         header = [cell.strip() for cell in header]
         numeric = check_header(path, header)
         # loadtxt has no field size limit; the reference reports one
-        if _may_hold_long_cell(path, data):
-            return _read_reference(path, check_header, data)
+        if _may_hold_long_cell(path, raw.fileno() if data is None else data):
+            return _read_reference(path, check_header, content())
         name = os.fsdecode(path)
         if data is None and not name.endswith(_COMPRESSED_SUFFIXES):
             # absolute, so numpy never takes it for a URL; not normalized, so ".."
@@ -327,25 +343,24 @@ def _read_table(
         except (ValueError, OSError):  # UnicodeDecodeError included; OSError: the name is gone
             body = None
         if source is not fh and not _names_open_file(source, raw.fileno()):
-            raw.seek(0)
-            return _read_table(path, check_header, raw.read())
-    if body is None or not body.size:
-        return _read_reference(path, check_header, data)
-    if labelled:
-        numbers = body["value"][:, np.newaxis]
-        labels = body["cluster"].tolist()
-        # each distinct label is checked once: one over csv's field limit (loadtxt
-        # has none), an empty one, or one with a line break goes to the reference
-        distinct = dict.fromkeys(labels)
-        limit = csv.field_size_limit()
-        if any(len(label) > limit or "\n" in label or not label.strip() for label in distinct):
-            return _read_reference(path, check_header, data)
-        if any(label.strip() != label for label in distinct):
-            labels = list(map(str.strip, labels))
-    else:
-        numbers, labels = body, []
-    if numbers.shape[1] != numeric or not np.isfinite(numbers).all():
-        return _read_reference(path, check_header, data)
+            return _read_table(path, check_header, content())
+        if body is None or not body.size:
+            return _read_reference(path, check_header, content())
+        if labelled:
+            numbers = body["value"][:, np.newaxis]
+            labels = body["cluster"].tolist()
+            # each distinct label is checked once: one over csv's field limit (loadtxt
+            # has none), an empty one, or one with a line break goes to the reference
+            distinct = dict.fromkeys(labels)
+            limit = csv.field_size_limit()
+            if any(len(label) > limit or "\n" in label or not label.strip() for label in distinct):
+                return _read_reference(path, check_header, content())
+            if any(label.strip() != label for label in distinct):
+                labels = list(map(str.strip, labels))
+        else:
+            numbers, labels = body, []
+        if numbers.shape[1] != numeric or not np.isfinite(numbers).all():
+            return _read_reference(path, check_header, content())
     return header, numbers, labels
 
 

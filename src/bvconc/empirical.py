@@ -36,13 +36,20 @@ pass it made while reading a file) and builds its cluster spec and ECDF
 once, at construction, and stores them beside read-only arrays, so every
 test on the sample reuses them and instances stay immutable and safe to
 share.  The ECDF comes from one sorted copy of the values, whose run starts
-give the heights, without the other temporaries of ``np.unique``.
-Everything here is pure and safe to call concurrently.
+give the heights, without the other temporaries of ``np.unique``.  The one
+thing a sample adds later is the positive and negative parts of its last
+two-sample comparison as G, with a weak reference to that comparison's F,
+so a test of the same pair on another side reuses them; the data they come
+from never changes.  Everything here is pure and safe to call concurrently:
+that kept comparison is one attribute, written whole and read once per
+call, so a call sees either a complete earlier comparison or computes its
+own.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter, length_hint
@@ -103,7 +110,9 @@ class ClusteredSample:
     stored as read-only integer codes numbering the distinct labels in order
     of first appearance; labels that hash and compare equal (``1``, ``1.0``
     and ``True``) are one cluster.  The cluster spec and the ECDF are built
-    here, once.
+    here, once.  A two-sample test with this sample as G keeps the
+    statistic's parts here, for the next test of the same pair; a copy or a
+    pickle starts without them.
     """
 
     values: np.ndarray
@@ -153,6 +162,7 @@ class ClusteredSample:
         object.__setattr__(self, "cluster_ids", codes)
         object.__setattr__(self, "_spec", ClusterSpec(np.bincount(codes).tolist()))
         object.__setattr__(self, "_ecdf", StepCdf.empirical(values))
+        object.__setattr__(self, "_parts", None)
 
     @classmethod
     def _built(
@@ -202,6 +212,10 @@ class ClusteredSample:
         read = np.array if isinstance(values, np.ndarray) else np.fromiter
         return cls._built(_float64(values, read=read), None)
 
+    def __getstate__(self) -> dict:
+        # a copy starts with no kept comparison: its weak reference would not pickle
+        return {**self.__dict__, "_parts": None}
+
     @property
     def n(self) -> int:
         return self.values.size
@@ -215,14 +229,15 @@ class StepCdf:
     """Right-continuous step function: value ``values[i]`` at and after ``jump_points[i]``.
 
     The value before the first jump is 0 and the last value must be 1.
-    ``values`` is stored read-only.
+    Both arrays are stored as read-only copies, so the caller's arrays can
+    change later without changing this CDF.
     """
 
     jump_points: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        jumps = _float64(self.jump_points, "jump points", np.asarray)
+        jumps = _float64(self.jump_points, "jump points")
         vals = _float64(self.values, "step values", np.asarray)
         # values of another rank go to the shape check unpadded
         self._store(jumps, np.concatenate(([0.0], vals)) if vals.ndim == 1 else vals)
@@ -230,8 +245,8 @@ class StepCdf:
     def _store(self, jumps: np.ndarray, padded: np.ndarray) -> None:
         """Check the jumps and the heights behind ``padded``'s leading 0, then keep both.
 
-        ``padded`` becomes this CDF's own array; the heights are stored once,
-        as a read-only view behind the leading 0.
+        ``jumps`` and ``padded`` become this CDF's own arrays, read-only; the
+        heights are stored once, as a view behind the leading 0.
         """
         if jumps.ndim != 1 or padded.shape != (jumps.size + 1,) or jumps.size == 0:
             raise DomainError("jump points and values must be equal-length 1-d arrays")
@@ -250,7 +265,8 @@ class StepCdf:
         # adding 0.0 stores a -0.0 height as 0.0, so a zero difference of two step
         # CDFs is always +0.0 and no sign of zero rests on numpy's reduction order
         padded += 0.0
-        padded.setflags(write=False)
+        for array in (jumps, padded):
+            array.setflags(write=False)
         object.__setattr__(self, "jump_points", jumps)
         object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "values", padded[1:])
@@ -278,7 +294,6 @@ class StepCdf:
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
         starts = np.flatnonzero(starts)
         jumps = ordered if starts.size == n else ordered[starts]
-        jumps.setflags(write=False)
         padded = np.empty(starts.size + 1)
         padded[0] = 0.0
         padded[1:-1] = starts[1:]
@@ -337,7 +352,13 @@ def sup_distance_two_sample(f: StepCdf, g: StepCdf, side: TailSide) -> float:
     G's jumps are taken in chunks of ``_REFERENCE_CHUNK``, so no temporary is
     longer than one chunk.  One binary search per chunk places its jumps among
     F's; it gives the rank of F at each y_j, and the left-limit rank is that
-    rank minus one wherever F also jumps at y_j.
+    rank minus one wherever F also jumps at y_j.  That search covers only
+    F's jumps above the chunk's first y_j and at or below its last, a view
+    found by two scalar searches (maybe empty), and the count of F's jumps
+    at or below the first y_j is added to each rank.
+
+    Nothing is kept between calls: each call searches afresh.  A two-sample
+    test on :class:`ClusteredSample` objects keeps the parts on the sample.
 
     The result equals, bit for bit, the extremes over the union of the jump
     points: F's heights minus G at F's jumps together with F at G's jumps
@@ -351,19 +372,47 @@ def sup_distance_two_sample(f: StepCdf, g: StepCdf, side: TailSide) -> float:
     Rounding is monotone, so both extremes are the same floats.
     """
     _two_sided(side)
+    return _pick_side(side, *_two_sample_parts(f, g))
+
+
+def _two_sample_parts(f: StepCdf, g: StepCdf) -> tuple[float, float]:
+    """The positive and negative parts of sup (F - G), each floored at 0, as ``(plus, minus)``."""
     low, high = np.inf, -np.inf
+    fj = f.jump_points
     g_before = g._padded[:-1]  # G just before each of its jumps
     for start in range(0, g.jump_points.size, _REFERENCE_CHUNK):
         chunk = slice(start, start + _REFERENCE_CHUNK)
         ys = g.jump_points[chunk]
-        ranks = np.searchsorted(f.jump_points, ys, side="right")
+        # every rank in this chunk lies between those of its first and last jump,
+        # so only F's jumps in that window (a view, maybe empty) are searched
+        lo = fj.searchsorted(ys[0], "right")
+        hi = fj.searchsorted(ys[-1], "right")
+        ranks = fj[lo:hi].searchsorted(ys, "right")
+        ranks += lo
         low = min(low, float(np.min(f._padded[ranks] - g.values[chunk])))
         # F's last jump at or below y_j decides the left-limit rank; a rank of 0
         # reads F's last jump, which cannot equal a G jump below F's first
-        ranks -= f.jump_points[ranks - 1] == ys
+        ranks -= fj[ranks - 1] == ys
         high = max(high, float(np.max(f._padded[ranks] - g_before[chunk])))
     # a zero minimum gives -0.0 here, as the maximum of -(F - G) would
-    return _pick_side(side, max(high, 0.0), max(-low, 0.0))
+    return max(high, 0.0), max(-low, 0.0)
+
+
+def _sample_distance(sample_f: ClusteredSample, sample_g: ClusteredSample, side: TailSide) -> float:
+    """``sup_distance_two_sample`` of the two samples' ECDFs, searched once per pair.
+
+    ``sample_g`` keeps the parts of its last comparison beside a weak
+    reference to the ``sample_f`` it was made with, and a call with that same
+    ``sample_f`` picks its side from them.  Samples are immutable, so the
+    parts stay exact; the weak reference keeps no sample alive, and makes no
+    cycle when a sample is compared with itself.
+    """
+    _two_sided(side)
+    last = sample_g._parts
+    if last is None or last[0]() is not sample_f:
+        last = (weakref.ref(sample_f), _two_sample_parts(sample_f._ecdf, sample_g._ecdf))
+        object.__setattr__(sample_g, "_parts", last)
+    return _pick_side(side, *last[1])
 
 
 def _reference_values(ref_cdf: Callable, pts: np.ndarray) -> np.ndarray:

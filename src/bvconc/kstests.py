@@ -33,10 +33,10 @@ from .coefficients import FiniteTheta, RangeSpec, downward_variation, lipschitz_
 from .empirical import (
     ClusteredSample,
     TrajectoryPanel,
+    _sample_distance,
     ecdf,
     lipschitz_sup_interval,
     sup_distance_reference,
-    sup_distance_two_sample,
 )
 from .errors import DomainError, VacuousBoundError
 
@@ -155,7 +155,7 @@ def two_sample_clustered(
     alphas = _validate_alphas(alphas)
     nu = _effective_size(sample_f, "first sample")
     xi = _effective_size(sample_g, "second sample")
-    stat = sup_distance_two_sample(ecdf(sample_f), ecdf(sample_g), side)
+    stat = _sample_distance(sample_f, sample_g, side)
     p_upper = two_sample_tail_bound(nu, xi, side, stat)
     return KsOutcome(
         statistic=stat,

@@ -1762,3 +1762,64 @@ class TestNameChangedUnderTheRead:
         other = write_raw(tmp_path, "y.csv", OTHER_ROWS)
         with racing_loadtxt(partial(os.replace, other, path)) as spy:
             self.assert_read_from_the_handle(path, spy)
+
+
+def racing(race, target):
+    """A patch of ``cli.<target>`` that runs ``race()`` just before each call delegates to it."""
+    wrapped = getattr(cli, target)
+
+    def call(*args, **kwargs):
+        race()
+        return wrapped(*args, **kwargs)
+
+    return mock.patch.object(cli, target, side_effect=call)
+
+
+RAGGED = "value,cluster\n1.0,a\n2.0,a,extra\n3.0,b\n"
+
+
+class TestFallbackReadsTheOpenFile:
+    """The long-cell check and the reference reader read the open file, never its name again."""
+
+    def test_ragged_row_renamed_over_before_the_reference_read(self, tmp_path):
+        path = write_raw(tmp_path, "x.csv", RAGGED)
+        other = write_raw(tmp_path, "y.csv", OTHER_ROWS)
+        with racing(partial(os.replace, other, path), "_read_reference") as spy:
+            with pytest.raises(DataFormatError, match=r": row 3: expected 2 columns, got 3$"):
+                _read_table(path, _clustered_header)
+        assert spy.call_count == 1
+
+    def test_ragged_row_removed_before_the_reference_read(self, tmp_path):
+        path = write_raw(tmp_path, "x.csv", RAGGED)
+        with racing(partial(os.remove, path), "_read_reference"):
+            with pytest.raises(DataFormatError, match=r": row 3: expected 2 columns, got 3$"):
+                _read_table(path, _clustered_header)
+
+    def test_long_cell_check_reads_the_descriptor(self, tmp_path):
+        path = write_raw(tmp_path, "x.csv", CLUSTERED)
+        long = write_raw(tmp_path, "y.csv", f"value,cluster\n{'1' * 140_000},a\n")
+        with open(path, "rb", buffering=0) as raw:
+            raw.read(4)
+            os.replace(long, path)
+            assert not cli._may_hold_long_cell(path, raw.fileno())
+            assert os.lseek(raw.fileno(), 0, os.SEEK_CUR) == 4  # pread moves no file position
+        assert cli._may_hold_long_cell(path, None)
+
+    def test_long_cell_check_renamed_over_during_the_read(self, tmp_path):
+        path = write_raw(tmp_path, "x.csv", CLUSTERED)
+        long = write_raw(tmp_path, "y.csv", f"value,cluster\n{'1' * 140_000},a\n")
+        check = cli._may_hold_long_cell
+        found = []
+
+        def race_then_check(*args):
+            if not found:
+                os.replace(long, path)
+            found.append(check(*args))
+            return found[-1]
+
+        with mock.patch.object(cli, "_may_hold_long_cell", side_effect=race_then_check):
+            _, numbers, labels = _read_table(path, _clustered_header)
+        # the open file's blocks, not the long cell's; numpy then read the new file by
+        # its name, so the table came from the handle's bytes, checked again
+        assert found == [False, False]
+        assert (numbers.ravel().tolist(), labels) == ([1.0, 2.0, 3.0], ["a", "a", "b"])

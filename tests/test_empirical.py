@@ -1,15 +1,23 @@
 """Exactness of sup statistics against brute-force oracles, plus panel bounds."""
 
+import copy
+import gc
+import itertools
 import math
+import pickle
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bvconc import empirical
 from bvconc.bounds import TailSide
 from bvconc.empirical import (
     _REFERENCE_CHUNK,
@@ -23,6 +31,7 @@ from bvconc.empirical import (
     _reference_values,
 )
 from bvconc.errors import DataFormatError, DomainError, LipschitzConsistencyError
+from bvconc.kstests import two_sample_clustered
 
 import oracles
 
@@ -1358,3 +1367,230 @@ class TestReferenceChecksAcrossChunks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n + 2**20
+
+
+@pytest.fixture
+def counted_parts(monkeypatch):
+    """The (f, g) ECDF pairs whose parts ``_two_sample_parts`` computes, in call order."""
+    calls = []
+    parts = empirical._two_sample_parts
+
+    def counted(f, g):
+        calls.append((f, g))
+        return parts(f, g)
+
+    monkeypatch.setattr(empirical, "_two_sample_parts", counted)
+    return calls
+
+
+SAMPLE_PAIRS = {
+    # F >= G everywhere: the minus side is -0.0
+    "f-above-g": ([0.1, 0.2, 0.2, 0.6], [0.5, 0.7, 0.9]),
+    "crossing": ([0.1, 0.4, 0.5, 0.8, 0.9], [0.2, 0.4, 0.6, 0.7]),
+    "identical": ([0.3, 0.3, 0.6], [0.3, 0.3, 0.6]),
+}
+
+
+class TestTwoSampleMemo:
+    """A sample keeps the parts of its last comparison, and only that very pair reuses them."""
+
+    @pytest.mark.parametrize("xs, ys", SAMPLE_PAIRS.values(), ids=SAMPLE_PAIRS)
+    @pytest.mark.parametrize("order", itertools.permutations(TailSide), ids=str)
+    def test_every_order_of_sides(self, counted_parts, xs, ys, order):
+        f, g = ClusteredSample.iid(xs), ClusteredSample.iid(ys)
+        got = [two_sample_clustered(f, g, side).statistic.hex() for side in order + order]
+        assert counted_parts == [(ecdf(f), ecdf(g))]
+        for side, stat in zip(order + order, got):
+            assert stat == two_search_sup_two_sample(ecdf(f), ecdf(g), side).hex()
+            assert stat == sup_distance_two_sample(ecdf(f), ecdf(g), side).hex()
+
+    def test_minus_side_keeps_its_sign_of_zero(self):
+        f, g = (ClusteredSample.iid(v) for v in SAMPLE_PAIRS["f-above-g"])
+        for _ in range(2):
+            assert two_sample_clustered(f, g, TailSide.MINUS).statistic.hex() == (-0.0).hex()
+
+    def test_another_sample_misses(self, counted_parts):
+        xs, ys = SAMPLE_PAIRS["crossing"]
+        f, other, g = ClusteredSample.iid(xs), ClusteredSample.iid(xs), ClusteredSample.iid(ys)
+        two_sample_clustered(f, g, TailSide.PLUS)
+        two_sample_clustered(other, g, TailSide.PLUS)  # equal values, another object
+        two_sample_clustered(f, g, TailSide.PLUS)  # g now keeps the comparison with other
+        assert counted_parts == [(ecdf(f), ecdf(g)), (ecdf(other), ecdf(g)), (ecdf(f), ecdf(g))]
+
+    def test_swapped_pair_misses(self, counted_parts):
+        f, g = (ClusteredSample.iid(v) for v in SAMPLE_PAIRS["crossing"])
+        forward = two_sample_clustered(f, g, TailSide.TWO_SIDED)
+        swapped = two_sample_clustered(g, f, TailSide.PLUS)
+        assert counted_parts == [(ecdf(f), ecdf(g)), (ecdf(g), ecdf(f))]
+        # each sample keeps the comparison in which it was G
+        assert two_sample_clustered(f, g, TailSide.TWO_SIDED).statistic == forward.statistic
+        assert two_sample_clustered(g, f, TailSide.PLUS).statistic == swapped.statistic
+        assert len(counted_parts) == 2
+        assert swapped.statistic == sup_distance_two_sample(ecdf(g), ecdf(f), TailSide.PLUS)
+
+    def test_keeps_no_sample_alive(self):
+        f, g = (ClusteredSample.iid(v) for v in SAMPLE_PAIRS["crossing"])
+        two_sample_clustered(f, g, TailSide.TWO_SIDED)
+        ref = weakref.ref(f)
+        gc.disable()
+        try:
+            del f
+            assert ref() is None  # freed by reference counting alone
+            assert g._parts[0]() is None
+        finally:
+            gc.enable()
+
+    def test_self_comparison_makes_no_cycle(self):
+        s = ClusteredSample.iid(SAMPLE_PAIRS["crossing"][0])
+        assert two_sample_clustered(s, s, TailSide.TWO_SIDED).statistic == 0.0
+        assert s._parts[0]() is s
+        ref = weakref.ref(s)
+        gc.disable()
+        try:
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_dead_sample_misses(self, counted_parts):
+        # a new sample may reuse a freed one's address; the dead reference never matches it
+        xs, ys = SAMPLE_PAIRS["crossing"]
+        g = ClusteredSample.iid(ys)
+        two_sample_clustered(ClusteredSample.iid(xs), g, TailSide.PLUS)
+        two_sample_clustered(ClusteredSample.iid(xs), g, TailSide.PLUS)
+        assert len(counted_parts) == 2
+
+    @pytest.mark.parametrize("side", ["two-sided", None, 3])
+    def test_bad_side_on_a_hit(self, counted_parts, side):
+        f, g = (ClusteredSample.iid(v) for v in SAMPLE_PAIRS["crossing"])
+        two_sample_clustered(f, g, TailSide.TWO_SIDED)
+        kept = g._parts
+        message = f"^side must be a TailSide, got {type(side).__name__}$"
+        with pytest.raises(DomainError, match=message):
+            two_sample_clustered(f, g, side)
+        assert g._parts is kept and len(counted_parts) == 1
+
+    def test_new_sample_keeps_nothing(self):
+        for sample in (
+            ClusteredSample(values=[0.1, 0.2], cluster_ids=["a", "b"]),
+            ClusteredSample.iid([0.1, 0.2]),
+            ClusteredSample.from_pairs([(0.1, "a"), (0.2, "b")]),
+        ):
+            assert sample._parts is None
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_start_without_a_comparison(self, duplicate):
+        f, g = (ClusteredSample.iid(v) for v in SAMPLE_PAIRS["crossing"])
+        want = two_sample_clustered(f, g, TailSide.TWO_SIDED).statistic
+        dup = duplicate(g)
+        assert dup._parts is None and g._parts is not None
+        assert two_sample_clustered(f, dup, TailSide.TWO_SIDED).statistic == want
+
+
+class TestTwoSampleMemoAcrossThreads:
+    """Threads that compare several samples with one G each get their own pair's statistic."""
+
+    def test_every_result_is_its_own_pairs(self):
+        rng = np.random.default_rng(8)
+        g = ClusteredSample.iid(rng.normal(size=400))
+        fs = [ClusteredSample.iid(rng.normal(loc=0.1 * i, size=300)) for i in range(3)]
+        want = {
+            (i, side): sup_distance_two_sample(ecdf(f), ecdf(g), side).hex()
+            for i, f in enumerate(fs)
+            for side in TailSide
+        }
+        wrong = []
+
+        def compare(worker):
+            for step in range(300):
+                i, side = (worker + step) % len(fs), list(TailSide)[step % 3]
+                got = two_sample_clustered(fs[i], g, side).statistic.hex()
+                if got != want[i, side]:
+                    wrong.append((i, side, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=compare, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
+class TestNarrowedSearchWindows:
+    """Each chunk searches only F's jumps between its first and last G jump, maybe none."""
+
+    ys = np.arange(CHUNKED_POINTS) / 8.0  # G's jump points, exact in binary
+    half = 1.0 / 16.0  # between two of G's jumps
+
+    @pytest.mark.parametrize(
+        "f_jumps",
+        [
+            # inside the middle chunk: the first chunk's window is empty below F's
+            # first jump, the remainder's above F's last
+            [ys[_REFERENCE_CHUNK + 5], ys[_REFERENCE_CHUNK + 9] + half],
+            # just outside the middle chunk: its window is empty between two F jumps
+            [ys[_REFERENCE_CHUNK - 1] + half, ys[2 * _REFERENCE_CHUNK] - half],
+            # on the middle chunk's first jump: that F jump lies below the window
+            [ys[_REFERENCE_CHUNK]],
+            [ys[_REFERENCE_CHUNK], ys[_REFERENCE_CHUNK + 1], ys[2 * _REFERENCE_CHUNK]],
+            # every F jump above G's last, or below G's first
+            [ys[-1] + half, ys[-1] + 1.0],
+            [ys[0] - 1.0, ys[0] - half],
+        ],
+        ids=[
+            "inside-middle", "around-middle", "on-chunk-start", "on-both-starts", "above-all", "below-all"
+        ],
+    )
+    def test_windows(self, f_jumps):
+        g = iid_ecdf(self.ys)
+        assert_one_search_matches(iid_ecdf(f_jumps), g)
+        # F's heights equal to G's wherever F jumps on a G jump: zero differences there
+        f_heights = np.linspace(0.0, 1.0, len(f_jumps) + 1)[1:]
+        assert_one_search_matches(StepCdf(jump_points=f_jumps, values=f_heights), g)
+
+    def test_random_windows(self):
+        # F jumps on G's jumps and between them, sparser than G: windows of every width
+        rng = np.random.default_rng(11)
+        size = 3 * _REFERENCE_CHUNK
+        xs = rng.choice(self.ys, size=size) + rng.choice([0.0, self.half], size=size)
+        assert_one_search_matches(iid_ecdf(xs[: size // 50]), iid_ecdf(self.ys))
+        assert_one_search_matches(iid_ecdf(xs), iid_ecdf(self.ys))
+
+
+class TestStepCdfOwnsItsJumps:
+    """A constructed StepCdf keeps a read-only copy of its jump points; ``empirical`` keeps its own."""
+
+    def test_caller_array_not_aliased(self):
+        jumps = np.array([0.0, 1.0, 2.0])
+        cdf = StepCdf(jump_points=jumps, values=[0.25, 0.5, 1.0])
+        assert cdf.jump_points is not jumps and not np.shares_memory(cdf.jump_points, jumps)
+        assert not cdf.jump_points.flags.writeable
+        jumps[0] = 5.0
+        assert cdf.jump_points.tolist() == [0.0, 1.0, 2.0]
+        assert cdf.evaluate(0.5) == 0.25
+        with pytest.raises(ValueError):
+            cdf.jump_points[0] = 5.0
+
+    def test_read_only_input(self):
+        jumps = np.array([0.0, 1.0])
+        jumps.setflags(write=False)
+        cdf = StepCdf(jump_points=jumps, values=[0.5, 1.0])
+        assert not np.shares_memory(cdf.jump_points, jumps) and not cdf.jump_points.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values", [[0.3, 0.1, 0.2], [0.3, 0.1, 0.1, 0.2]], ids=["distinct", "ties"]
+    )
+    def test_empirical_keeps_its_own_array(self, values):
+        values = np.array(values)
+        jumps = StepCdf.empirical(values).jump_points
+        assert not np.shares_memory(jumps, values) and not jumps.flags.writeable
