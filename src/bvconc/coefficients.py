@@ -12,6 +12,16 @@ available in closed form for four structural cases:
 * differentiable with one-sided derivative bound K: d = (b - a + K)^2
 * one-sided K-Lipschitz (no smoothness):            d = (b - a + K)^2
 
+:func:`downward_variation` is the one place these formulas live, and every
+test takes its d from it.  The clustered tests use ``MonotoneReal`` on
+[0, 1] (a pooled ECDF is monotone in its argument), so d = 1;
+``finite_theta_test`` uses ``FiniteTheta`` on its ranges; the Lipschitz
+panel test uses ``LipschitzOneSided`` on [0, 1] in continuous time and the
+``FiniteTheta`` case of one [0, 1] range per grid point on an exhaustive
+grid, the latter in closed form.  A panel test compares a difference of
+two [0, 1]-valued processes, which doubles both the range and the
+Lipschitz constant, so its d is 2^2 = 4 times that of one process.
+
 For block-independent clustered data the McDiarmid coefficient of the pooled
 empirical CDF equals the cluster effective sample size
 nu = K / (1 + s^2 / a^2), where K is the cluster count, a the mean cluster
@@ -240,6 +250,12 @@ def downward_variation(case: DownwardVariationCase) -> float:
     raise DomainError(f"unknown downward-variation case: {case!r}")
 
 
+_UNIT_RANGE = RangeSpec(0.0, 1.0)
+
+# a pooled ECDF is a monotone [0, 1]-valued function of its argument
+_POOLED_ECDF_D = downward_variation(MonotoneReal(_UNIT_RANGE))
+
+
 def lipschitz_difference_params(
     n_units: int, k_lip: float = 0.0, *, grid_size: int | None = None
 ) -> BoundParams:
@@ -247,20 +263,26 @@ def lipschitz_difference_params(
 
     For n_units averaged unit-level trajectories, the difference statistic has
     McDiarmid coefficient c = n/4.  Continuous time with shared Lipschitz
-    constant K gives d = 4*(1+K)^2, so c*d = n*(1+K)^2.  When the comparison
-    runs over a finite grid of ``grid_size`` time points instead, pass it here
-    and d = 4*grid_size^2 (c*d = n*grid_size^2); k_lip is then ignored.
+    constant K gives d = 4*(1+K)^2, four times the ``LipschitzOneSided`` d of
+    one [0, 1]-valued process, so c*d = n*(1+K)^2.  When the comparison runs
+    over a finite grid of ``grid_size`` time points instead, pass it here and
+    d = 4*grid_size^2, four times the ``FiniteTheta`` d of one [0, 1] range
+    per grid point (c*d = n*grid_size^2); k_lip is then checked but not used.
 
     Raises :class:`~bvconc.errors.VacuousBoundError` when c*d <= 1.
     """
     n_units = _integer("unit count", n_units)
     if n_units < 1:
         raise DomainError(f"unit count must be >= 1, got {n_units}")
-    _check_k_lip(k_lip)
+    case = LipschitzOneSided(_UNIT_RANGE, k_lip)
     c = n_units / 4.0
     if grid_size is not None:
         grid_size = _integer("grid size", grid_size)
         if grid_size < 1:
             raise DomainError(f"grid size must be >= 1, got {grid_size}")
+        # downward_variation(FiniteTheta((_UNIT_RANGE,) * grid_size)) in closed form,
+        # the same bits without a Python step per grid point
         return BoundParams(c=c, d=4.0 * grid_size * grid_size)
-    return BoundParams(c=c, d=4.0 * (1.0 + k_lip) ** 2)
+    # the difference of two [0, 1]-valued K-Lipschitz processes has range width 2
+    # and constant 2K, so its d is 2^2 times that of one process
+    return BoundParams(c=c, d=4.0 * downward_variation(case))

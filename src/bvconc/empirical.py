@@ -111,8 +111,9 @@ class ClusteredSample:
     of first appearance; labels that hash and compare equal (``1``, ``1.0``
     and ``True``) are one cluster.  The cluster spec and the ECDF are built
     here, once.  A two-sample test with this sample as G keeps the
-    statistic's parts here, for the next test of the same pair; a copy or a
-    pickle starts without them.
+    statistic's parts here, for the next test of the same pair.  A copy or
+    a pickle is built from the values and codes like a new sample: its
+    arrays are read-only and it starts with no kept parts.
     """
 
     values: np.ndarray
@@ -212,9 +213,10 @@ class ClusteredSample:
         read = np.array if isinstance(values, np.ndarray) else np.fromiter
         return cls._built(_float64(values, read=read), None)
 
-    def __getstate__(self) -> dict:
-        # a copy starts with no kept comparison: its weak reference would not pickle
-        return {**self.__dict__, "_parts": None}
+    def __reduce__(self):
+        # a copy is built and checked like the original, with read-only arrays and
+        # no kept comparison (whose weak reference would not pickle)
+        return type(self)._built, (self.values, None, self.cluster_ids)
 
     @property
     def n(self) -> int:
@@ -224,13 +226,22 @@ class ClusteredSample:
         return self._spec
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Boolean mask of the sorted ``ordered``: True where a value differs from the one before."""
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
 @dataclass(frozen=True, eq=False)
 class StepCdf:
     """Right-continuous step function: value ``values[i]`` at and after ``jump_points[i]``.
 
     The value before the first jump is 0 and the last value must be 1.
     Both arrays are stored as read-only copies, so the caller's arrays can
-    change later without changing this CDF.
+    change later without changing this CDF.  A copy or a pickle is built
+    and checked from the two arrays like a new CDF.
     """
 
     jump_points: np.ndarray
@@ -287,12 +298,7 @@ class StepCdf:
         ordered = np.array(values, dtype=float, order="C").reshape(-1)
         ordered.sort()
         n = ordered.size
-        # a run starts where a value differs from the one before; the mask is
-        # freed as its name passes to the run starts
-        starts = np.empty(n, dtype=bool)
-        starts[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        starts = np.flatnonzero(starts)
+        starts = np.flatnonzero(_run_starts(ordered))
         jumps = ordered if starts.size == n else ordered[starts]
         padded = np.empty(starts.size + 1)
         padded[0] = 0.0
@@ -303,6 +309,10 @@ class StepCdf:
         cdf = object.__new__(cls)
         cdf._store(jumps, padded)
         return cdf
+
+    def __reduce__(self):
+        # a copy is built and checked like the original, its heights a view again
+        return type(self), (self.jump_points, self.values)
 
     def __call__(self, r):
         return self.evaluate(r)
@@ -454,14 +464,22 @@ def sup_distance_reference(
 
     The reference values are checked and compared with F in chunks of
     ``_REFERENCE_CHUNK``, so no temporary is longer than one chunk.  A value
-    outside [0, 1] anywhere is reported before a drop anywhere.
+    outside [0, 1] anywhere is reported before a drop anywhere.  With extra
+    points the candidates are ``np.union1d``'s, bit for bit: the concatenation
+    is sorted in place with the same default sort and each run keeps its first
+    value, the same one of -0.0 and 0.0.  F and F- at them are looked up
+    chunk by chunk.
     """
     _two_sided(side)
-    if len(extra_points):
-        pts = np.union1d(f.jump_points, _float64(extra_points, "extra_points", np.asarray))
-        right, left = f.evaluate(pts), f.evaluate_left(pts)
+    searched = len(extra_points) > 0
+    if searched:
+        pts = np.concatenate(
+            (f.jump_points, _float64(extra_points, "extra_points", np.asarray)), axis=None
+        )
+        pts.sort()
+        pts = pts[_run_starts(pts)]
     else:
-        pts, right, left = f.jump_points, f.values, f._padded[:-1]
+        pts = f.jump_points
     ref = _reference_values(ref_cdf, pts)
     plus = minus = -np.inf
     dropped = False
@@ -473,8 +491,12 @@ def sup_distance_reference(
         # which has passed the range check
         steps = np.diff(ref[max(start - 1, 0) : chunk.stop])
         dropped = dropped or bool(np.any(steps < -1e-12))
-        plus = max(plus, float(np.max(right[chunk] - ref[chunk])))
-        minus = max(minus, float(np.max(ref[chunk] - left[chunk])))
+        if searched:
+            right, left = f.evaluate(pts[chunk]), f.evaluate_left(pts[chunk])
+        else:
+            right, left = f.values[chunk], f._padded[:-1][chunk]
+        plus = max(plus, float(np.max(right - ref[chunk])))
+        minus = max(minus, float(np.max(ref[chunk] - left)))
     if dropped:
         raise DomainError("reference CDF must be nondecreasing")
     return _pick_side(side, max(plus, 0.0), max(minus, 0.0))

@@ -1,12 +1,14 @@
 """KS-like hypothesis tests with non-asymptotic p-value upper bounds.
 
 Each test combines three ingredients: an exact sup statistic from
-:mod:`bvconc.empirical`, a coefficient pair from :mod:`bvconc.coefficients`,
-and the closed-form tails from :mod:`bvconc.bounds`.  The reported
-``p_upper`` is an upper bound on the p-value, valid for any data
-distribution and any sample size; it is conservative by construction, never
-an approximation.  Every step from a statistic to a p-value bound or a
-critical value is a :mod:`bvconc.bounds` function.
+:mod:`bvconc.empirical`, a coefficient pair from :mod:`bvconc.coefficients`
+(whose d always comes from ``downward_variation``), and the closed-form
+tails from :mod:`bvconc.bounds`.  The reported ``p_upper`` is an upper
+bound on the p-value, valid for any data distribution and any sample size;
+it is conservative by construction, never an approximation.  Every step
+from a statistic to a p-value bound or a critical value is a
+:mod:`bvconc.bounds` function, the cap at 1 of a single-pair bound
+included (``tail_bound``).
 
 Vacuous configurations (effective size <= 1) raise
 :class:`~bvconc.errors.VacuousBoundError`; a bound that merely evaluates to 1
@@ -24,12 +26,19 @@ from .bounds import (
     TailSide,
     _finite,
     critical_statistic,
+    tail_bound,
     tail_bound_raw,
     threshold,
     two_sample_critical,
     two_sample_tail_bound,
 )
-from .coefficients import FiniteTheta, RangeSpec, downward_variation, lipschitz_difference_params
+from .coefficients import (
+    _POOLED_ECDF_D,
+    FiniteTheta,
+    RangeSpec,
+    downward_variation,
+    lipschitz_difference_params,
+)
 from .empirical import (
     ClusteredSample,
     TrajectoryPanel,
@@ -96,13 +105,13 @@ def _single_pair_outcome(
 
     ``fields`` sets the remaining :class:`KsOutcome` fields (``notes`` and the like).
     """
-    raw = tail_bound_raw(params, side, threshold(params, side, stat))
+    eps = threshold(params, side, stat)
     return KsOutcome(
         statistic=stat,
         side=side,
         params=params,
-        p_upper=min(1.0, raw),
-        p_upper_raw=raw,
+        p_upper=tail_bound(params, side, eps),
+        p_upper_raw=tail_bound_raw(params, side, eps),
         critical_at={a: critical_statistic(params, side, a) for a in alphas},
         **fields,
     )
@@ -135,11 +144,12 @@ def one_sample_clustered(
 
     Pooled empirical CDFs of block-independent clustered data are monotone
     averages, so the McDiarmid coefficient is the cluster effective sample
-    size nu and the downward-variation coefficient is 1.
+    size nu and the downward-variation coefficient is that of a monotone
+    [0, 1]-valued function, 1.
     """
     alphas = _validate_alphas(alphas)
     nu = _effective_size(sample, "sample")
-    params = BoundParams(c=nu, d=1.0)
+    params = BoundParams(c=nu, d=_POOLED_ECDF_D)
     stat = sup_distance_reference(ecdf(sample), ref_cdf, side)
     return _single_pair_outcome(params, side, stat, alphas, notes=tuple(notes))
 
@@ -151,7 +161,13 @@ def two_sample_clustered(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     notes: Sequence[str] = (),
 ) -> KsOutcome:
-    """Test equality of the two mean functions behind independent clustered samples."""
+    """Test equality of the two mean functions behind independent clustered samples.
+
+    Each sample gets the coefficient pair of :func:`one_sample_clustered`:
+    its effective sample size and the monotone [0, 1] case's d of 1.  The
+    product bound of :func:`~bvconc.bounds.two_sample_tail_bound` lies in
+    [0, 1] already, so it is reported as both ``p_upper`` and ``p_upper_raw``.
+    """
     alphas = _validate_alphas(alphas)
     nu = _effective_size(sample_f, "first sample")
     xi = _effective_size(sample_g, "second sample")
@@ -160,7 +176,7 @@ def two_sample_clustered(
     return KsOutcome(
         statistic=stat,
         side=side,
-        params=(BoundParams(c=nu, d=1.0), BoundParams(c=xi, d=1.0)),
+        params=(BoundParams(c=nu, d=_POOLED_ECDF_D), BoundParams(c=xi, d=_POOLED_ECDF_D)),
         p_upper=p_upper,
         p_upper_raw=p_upper,
         critical_at={a: two_sample_critical(nu, xi, side, a) for a in alphas},

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvconc.coefficients import (
@@ -319,3 +319,38 @@ class TestRangeType:
     def test_not_a_sequence(self, call):
         with pytest.raises(DomainError, match="^ranges must be a sequence of RangeSpec, got int$"):
             call(5)
+
+
+UNIT = RangeSpec(0.0, 1.0)
+
+
+class TestDifferenceCoefficientsFromCases:
+    """The difference coefficients keep their closed forms, bit for bit, through the structural cases."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1e153),
+            st.integers(0, 2**60).map(float),
+            st.integers(0, 2**60),
+            st.integers(0, 2**60).map(np.int64),
+            st.integers(0, 2**31 - 1).map(np.int32),
+        )
+    )
+    @example(0.0)
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1e153)
+    @example(2.0**53 + 1)
+    @example(np.int64(3))
+    def test_continuous_d(self, k_lip):
+        assert lipschitz_difference_params(4, k_lip).d.hex() == (4.0 * (1.0 + k_lip) ** 2).hex()
+
+    def test_grid_d_is_the_finite_theta_case(self):
+        for g in [*range(1, 3001), 10**5]:
+            want = 4.0 * downward_variation(FiniteTheta((UNIT,) * g))
+            assert lipschitz_difference_params(2, grid_size=g).d.hex() == want.hex()
+
+    def test_lipschitz_constant_checked_before_grid_size(self):
+        with pytest.raises(DomainError, match=r"^Lipschitz constant must be >= 0, got -1.0$"):
+            lipschitz_difference_params(4, -1.0, grid_size=0)

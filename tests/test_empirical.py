@@ -1594,3 +1594,133 @@ class TestStepCdfOwnsItsJumps:
         values = np.array(values)
         jumps = StepCdf.empirical(values).jump_points
         assert not np.shares_memory(jumps, values) and not jumps.flags.writeable
+
+
+DUPLICATES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+def assert_built_cdf(cdf):
+    """The arrays of a checked, stored StepCdf: read-only, the heights a view behind the 0."""
+    assert not cdf.jump_points.flags.writeable and not cdf._padded.flags.writeable
+    assert cdf.values.base is cdf._padded
+
+
+class TestCopiesAreBuilt:
+    """A copied or unpickled sample or ECDF is built and checked like the original."""
+
+    @pytest.mark.parametrize("duplicate", DUPLICATES.values(), ids=DUPLICATES)
+    def test_sample(self, duplicate):
+        f = ClusteredSample.from_pairs([(0.1, "a"), (0.4, "b"), (0.4, "a"), (0.8, "c")])
+        g = ClusteredSample.from_pairs([(0.2, "x"), (0.4, "y"), (-0.0, "y"), (0.7, "x")])
+        want = {side: two_sample_clustered(f, g, side).statistic.hex() for side in TailSide}
+        dup = duplicate(g)
+        assert dup._parts is None and g._parts is not None
+        assert_same_sample(dup, g)
+        assert_built_cdf(ecdf(dup))
+        assert ecdf(dup) is not ecdf(g)
+        assert {side: two_sample_clustered(f, dup, side).statistic.hex() for side in TailSide} == want
+        for side in TailSide:
+            got = sup_distance_reference(ecdf(dup), uniform_cdf, side)
+            assert got.hex() == sup_distance_reference(ecdf(g), uniform_cdf, side).hex()
+
+    @pytest.mark.parametrize("duplicate", DUPLICATES.values(), ids=DUPLICATES)
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            StepCdf(jump_points=[0.1, 0.3, 0.6], values=[-0.0, 0.5, 1.0]),
+            StepCdf.empirical(np.array([0.6, 0.1, 0.3, 0.3])),
+        ],
+        ids=["constructed", "empirical"],
+    )
+    def test_step_cdf(self, duplicate, cdf):
+        dup = duplicate(cdf)
+        assert_built_cdf(dup)
+        assert dup.jump_points.tobytes() == cdf.jump_points.tobytes()
+        assert dup._padded.tobytes() == cdf._padded.tobytes()
+        other = iid_ecdf([0.2, 0.3, 0.5])
+        for side in TailSide:
+            assert (
+                sup_distance_two_sample(dup, other, side).hex()
+                == sup_distance_two_sample(cdf, other, side).hex()
+            )
+            assert (
+                sup_distance_reference(dup, uniform_cdf, side).hex()
+                == sup_distance_reference(cdf, uniform_cdf, side).hex()
+            )
+
+
+def union_sup_reference(f, ref_cdf, side, extra_points):
+    """The statistic over ``np.union1d``'s points, with F and F- looked up on the whole union."""
+    pts = np.union1d(f.jump_points, np.asarray(extra_points, dtype=float))
+    ref = ref_cdf(pts)
+    plus = max(float(np.max(f.evaluate(pts) - ref)), 0.0)
+    minus = max(float(np.max(ref - f.evaluate_left(pts))), 0.0)
+    return {TailSide.PLUS: plus, TailSide.MINUS: minus}.get(side, max(plus, minus))
+
+
+def tanh_cdf(r):
+    """A continuous CDF with values in [0, 1] at every finite double."""
+    return 0.5 * (1.0 + np.tanh(r))
+
+
+SIGNED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestExtraPointsUnion:
+    """With extra points the candidates are ``np.union1d``'s; F and F- are looked up chunk by chunk."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(SIGNED_FLOATS, min_size=1, max_size=40),
+        st.lists(SIGNED_FLOATS, min_size=1, max_size=20),
+    )
+    @example([0.0, 0.5], [-0.0])
+    @example([-0.0, 0.5], [0.0, -0.0])
+    @example([0.5, 0.0, -0.0], [-0.0, 0.0])
+    def test_matches_union1d_byte_for_byte(self, values, extra):
+        f = StepCdf.empirical(np.array(values))
+        seen = []
+
+        def ref(r):
+            seen.append(np.array(r, dtype=float))
+            return tanh_cdf(r)
+
+        for side in TailSide:
+            got = sup_distance_reference(f, ref, side, extra)
+            assert got.hex() == union_sup_reference(f, tanh_cdf, side, extra).hex()
+        union = np.union1d(f.jump_points, extra).tobytes()
+        assert all(pts.tobytes() == union for pts in seen)  # the same zero's sign too
+
+    def test_across_chunks(self):
+        f = StepCdf.empirical(np.linspace(-2.0, 2.0, CHUNKED_POINTS))
+        extra = [-3.0, f.jump_points[_REFERENCE_CHUNK] + 1e-6, 0.0, f.jump_points[-2], 3.0]
+        for side in TailSide:
+            got = sup_distance_reference(f, tanh_cdf, side, extra)
+            assert got.hex() == union_sup_reference(f, tanh_cdf, side, extra).hex()
+
+    def test_range_error_comes_before_a_drop(self):
+        f = StepCdf.empirical(np.linspace(0.0, 1.0, CHUNKED_POINTS))
+        faults = [(5, 0.0), (2 * _REFERENCE_CHUNK + 3, 1.5)]
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            sup_distance_reference(f, faulty_identity(faults), TailSide.TWO_SIDED, [0.25 + 1e-9])
+
+    def test_peak_memory_is_bounded(self):
+        # the union and the reference's own array, one float64 a point each, the
+        # union's mask and bounded chunks; np.union1d's temporaries and F and F-
+        # at every point took about 33 bytes a point
+        n = 2**18
+        f = StepCdf.empirical(np.arange(n) / n)
+        tracemalloc.start()
+        try:
+            sup_distance_reference(f, uniform_cdf, TailSide.TWO_SIDED, [0.5 + 0.25 / n])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n + 2**20

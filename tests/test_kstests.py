@@ -4,6 +4,7 @@ import math
 import re
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -490,3 +491,63 @@ class TestKsOutcomeChecks:
     def test_negative_statistic(self):
         with pytest.raises(DomainError, match="^sup statistic -0.1 cannot be negative$"):
             KsOutcome(statistic=-0.1, p_upper=0.5, **self.FIELDS)
+
+
+class TestOneHomePerFormula:
+    """Each test takes its d from the structural cases and its single-pair cap from ``tail_bound``."""
+
+    def test_clustered_outcomes_carry_unit_d(self):
+        rng = np.random.default_rng(31)
+        f, g = random_clustered(rng), random_clustered(rng)
+        one = one_sample_clustered(f, uniform_cdf, TailSide.PLUS)
+        two = two_sample_clustered(f, g, TailSide.TWO_SIDED)
+        assert [p.d.hex() for p in (one.params, *two.params)] == [(1.0).hex()] * 3
+
+    def test_single_pair_cap_is_tail_bound(self, monkeypatch):
+        calls = []
+
+        def spy(params, side, eps):
+            calls.append((params, side))
+            return bounds.tail_bound(params, side, eps)
+
+        monkeypatch.setattr(kstests, "tail_bound", spy)
+        rng = np.random.default_rng(37)
+        sample = ClusteredSample.iid(rng.random(200))
+        outcomes = [
+            one_sample_clustered(sample, uniform_cdf, TailSide.MINUS),
+            finite_theta_test([(0.4, 0.5), (0.7, 0.5)], [RangeSpec(0, 1)] * 2, c=400.0),
+        ]
+        assert calls == [(out.params, out.side) for out in outcomes]
+        for out in outcomes:
+            eps = bounds.threshold(out.params, out.side, out.statistic)
+            assert out.p_upper.hex() == min(1.0, out.p_upper_raw).hex()
+            assert out.p_upper_raw.hex() == bounds.tail_bound_raw(out.params, out.side, eps).hex()
+
+
+class TestTwoSampleOracle:
+    """The two-sample oracle keeps its relative precision far below 1e-40."""
+
+    @staticmethod
+    def direct(nu, xi, eps, dps):
+        # 1 - f*f as written, at enough digits that the cancellation costs nothing
+        with mp.workdps(dps):
+
+            def factor(v):
+                v = mp.mpf(v)
+                inner = 2 * mp.exp(-(v / 2) * (mp.mpf(eps) / oracles.denominator_hp(v)) ** 2)
+                return max(mp.mpf(0), 1 - inner)
+
+            return 1 - factor(nu) * factor(xi)
+
+    def test_tiny_bound_against_300_digits(self):
+        want = self.direct(400, 320, 3.75, 300)
+        got = oracles.two_sample_two_sided_hp(400, 320, 3.75)
+        assert float(want) == pytest.approx(9.4796e-52, rel=1e-4)
+        assert abs(got - want) <= mp.mpf("1e-40") * want
+
+    @pytest.mark.parametrize(
+        "nu, xi, eps", [(42, 30, 2.0), (25, 25, 1.0), (400, 320, 2.15), (3, 2, 0.1)]
+    )
+    def test_agrees_with_the_direct_form(self, nu, xi, eps):
+        got = oracles.two_sample_two_sided_hp(nu, xi, eps)
+        assert abs(got - self.direct(nu, xi, eps, 100)) <= mp.mpf("1e-45") * got
