@@ -114,11 +114,13 @@ class BoundParams:
 
 
 def _finite(name: str, x) -> bool:
-    """``math.isfinite(x)``; an ``x`` that is not a real number is a DomainError naming ``name``."""
+    """``math.isfinite(x)``; an ``x`` that is not a real number or fits no float is a DomainError naming ``name``."""
     try:
         return math.isfinite(x)
     except TypeError:
         raise DomainError(f"{name} must be a real number, got {type(x).__name__}") from None
+    except OverflowError:  # an int too large for a float, not printed: str() may refuse it
+        raise DomainError(f"{name} is too large for a float") from None
 
 
 def _two_sided(side: TailSide) -> bool:

@@ -239,15 +239,19 @@ def mcdiarmid_from_clusters(spec: ClusterSpec) -> float:
 def downward_variation(case: DownwardVariationCase) -> float:
     """Downward-variation coefficient for one of the four structural cases."""
     if isinstance(case, FiniteTheta):
-        total = 0
+        name, base = "sum of range widths", 0
         for r in case.ranges:
-            total += r.width
-        return total**2
-    if isinstance(case, MonotoneReal):
-        return case.range.width**2
-    if isinstance(case, _Lipschitz):
-        return (case.range.width + case.k_lip) ** 2
-    raise DomainError(f"unknown downward-variation case: {case!r}")
+            base += r.width
+    elif isinstance(case, MonotoneReal):
+        name, base = "range width", case.range.width
+    elif isinstance(case, _Lipschitz):
+        name, base = "range width plus Lipschitz constant", case.range.width + case.k_lip
+    else:
+        raise DomainError(f"unknown downward-variation case: {case!r}")
+    try:
+        return base**2
+    except OverflowError:
+        raise DomainError(f"{name} {base:g} is too large: its square overflows a float") from None
 
 
 _UNIT_RANGE = RangeSpec(0.0, 1.0)

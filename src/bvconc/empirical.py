@@ -16,10 +16,11 @@ on a finite candidate set:
 So the "sup over the reals" is computed exactly, with no grid and no jitter.
 Neither statistic searches a step function for its own jump points: there
 its value is the stored height and its left limit the height before.  So
-the two-sample union is never merged, and F's own jumps are not visited:
-one binary search places G's jumps among F's, which gives F at each of G's
-jumps, and the rank one lower wherever F also jumps there gives F's left
-limit.  A reference CDF's values are checked and compared with the step
+the one-sample statistic, whose one candidate set is F's jumps, never
+searches F; the two-sample union is never merged, and F's own jumps are not
+visited: one binary search places G's jumps among F's, which gives F at each
+of G's jumps, and the rank one lower wherever F also jumps there gives F's
+left limit.  A reference CDF's values are checked and compared with the step
 function in bounded chunks, and a scalar-only one is called point by point
 in those chunks, so no step holds a Python float for every point or a
 temporary as long as the jump set beyond the reference values themselves.
@@ -226,14 +227,6 @@ class ClusteredSample:
         return self._spec
 
 
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Boolean mask of the sorted ``ordered``: True where a value differs from the one before."""
-    starts = np.empty(ordered.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    return starts
-
-
 @dataclass(frozen=True, eq=False)
 class StepCdf:
     """Right-continuous step function: value ``values[i]`` at and after ``jump_points[i]``.
@@ -298,7 +291,10 @@ class StepCdf:
         ordered = np.array(values, dtype=float, order="C").reshape(-1)
         ordered.sort()
         n = ordered.size
-        starts = np.flatnonzero(_run_starts(ordered))
+        starts = np.empty(n, dtype=bool)  # True where a value differs from the one before
+        starts[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts)
         jumps = ordered if starts.size == n else ordered[starts]
         padded = np.empty(starts.size + 1)
         padded[0] = 0.0
@@ -448,39 +444,20 @@ def _reference_values(ref_cdf: Callable, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def sup_distance_reference(
-    f: StepCdf,
-    ref_cdf: Callable,
-    side: TailSide,
-    extra_points: Sequence[float] = (),
-) -> float:
+def sup_distance_reference(f: StepCdf, ref_cdf: Callable, side: TailSide) -> float:
     """Exact sup of the deviation of a step CDF from a continuous reference CDF.
 
     Positive part: max over jumps x of F(x) - ref(x).  Negative part: max over
     jumps of ref(x) - F(x-), approached as r increases into each jump.  Both
-    floored at 0.  ``extra_points`` adds candidate evaluation points, useful
-    when the reference is only piecewise smooth; without them F(x) and F(x-)
-    at the jumps are the stored heights.
+    floored at 0.  F's jumps are the only candidates, and F(x) and F(x-) there
+    are the stored heights, so F is never searched.
 
     The reference values are checked and compared with F in chunks of
     ``_REFERENCE_CHUNK``, so no temporary is longer than one chunk.  A value
-    outside [0, 1] anywhere is reported before a drop anywhere.  With extra
-    points the candidates are ``np.union1d``'s, bit for bit: the concatenation
-    is sorted in place with the same default sort and each run keeps its first
-    value, the same one of -0.0 and 0.0.  F and F- at them are looked up
-    chunk by chunk.
+    outside [0, 1] anywhere is reported before a drop anywhere.
     """
     _two_sided(side)
-    searched = len(extra_points) > 0
-    if searched:
-        pts = np.concatenate(
-            (f.jump_points, _float64(extra_points, "extra_points", np.asarray)), axis=None
-        )
-        pts.sort()
-        pts = pts[_run_starts(pts)]
-    else:
-        pts = f.jump_points
-    ref = _reference_values(ref_cdf, pts)
+    ref = _reference_values(ref_cdf, f.jump_points)
     plus = minus = -np.inf
     dropped = False
     for start in range(0, ref.size, _REFERENCE_CHUNK):
@@ -491,12 +468,8 @@ def sup_distance_reference(
         # which has passed the range check
         steps = np.diff(ref[max(start - 1, 0) : chunk.stop])
         dropped = dropped or bool(np.any(steps < -1e-12))
-        if searched:
-            right, left = f.evaluate(pts[chunk]), f.evaluate_left(pts[chunk])
-        else:
-            right, left = f.values[chunk], f._padded[:-1][chunk]
-        plus = max(plus, float(np.max(right - ref[chunk])))
-        minus = max(minus, float(np.max(ref[chunk] - left)))
+        plus = max(plus, float(np.max(f.values[chunk] - ref[chunk])))
+        minus = max(minus, float(np.max(ref[chunk] - f._padded[:-1][chunk])))
     if dropped:
         raise DomainError("reference CDF must be nondecreasing")
     return _pick_side(side, max(plus, 0.0), max(minus, 0.0))

@@ -113,7 +113,7 @@ def _allocate(shape, what: str, dtype=float) -> np.ndarray:
     """``np.empty(shape, dtype)``; an allocation that fails is a DomainError naming ``what``."""
     try:
         return np.empty(shape, dtype)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: a shape past numpy's limits, nothing allocated
         raise DomainError(f"{what} does not fit in memory") from None
 
 

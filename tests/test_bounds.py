@@ -394,3 +394,24 @@ class TestNonRealScalars:
     def test_minus_inf_size_is_still_vacuous(self):
         with pytest.raises(VacuousBoundError):
             two_sample_tail_bound(-math.inf, 30.0, TailSide.TWO_SIDED, 0.5)
+
+
+class TestIntTooLargeForAFloat:
+    """An int past the float range is a DomainError naming the coefficient, not an OverflowError."""
+
+    @pytest.mark.parametrize(
+        "c, d, name",
+        [
+            (10**400, 1, "McDiarmid coefficient"),
+            (100, 10**400, "downward-variation coefficient"),
+            # past Python's 4300-digit str limit, so the message cannot print it
+            (10**5000, 1, "McDiarmid coefficient"),
+        ],
+        ids=["c", "d", "c-past-str-limit"],
+    )
+    def test_bound_params(self, c, d, name):
+        with pytest.raises(DomainError, match=f"^{name} is too large for a float$"):
+            BoundParams(c, d)
+
+    def test_largest_float_int_still_passes(self):
+        assert BoundParams(int(np.finfo(float).max), 1).c == int(np.finfo(float).max)

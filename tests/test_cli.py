@@ -182,6 +182,17 @@ class TestKsCommands:
         assert payload["interval"] == [pytest.approx(0.1), pytest.approx(0.2)]
         assert payload["c"] == 0.5
 
+    def test_lipschitz_overflowing_d_exits_2(self, tmp_path, capsys):
+        fa = write(tmp_path, "pa.csv", "time,unit_1,unit_2\n0.0,0.4,0.4\n0.5,0.4,0.4\n1.0,0.4,0.4\n")
+        fb = write(tmp_path, "pb.csv", "time,unit_1,unit_2\n0.0,0.5,0.5\n0.5,0.5,0.5\n1.0,0.5,0.5\n")
+        assert main(["kstest", "lipschitz", "--f", fa, "--g", fb, "--k-lip", "1e155"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: range width plus Lipschitz constant 1e+155 is too large: "
+            "its square overflows a float\n"
+        )
+
     def test_lipschitz_grid_exhaustive(self, tmp_path, capsys):
         fa = write(tmp_path, "ga.csv", "time,unit_1,unit_2\n0.0,0.4,0.4\n1.0,0.4,0.4\n")
         fb = write(tmp_path, "gb.csv", "time,unit_1,unit_2\n0.0,0.5,0.5\n1.0,0.5,0.5\n")

@@ -1,6 +1,7 @@
 """Coefficient formulas, the effective-sample-size identity, and fuzzed invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -354,3 +355,39 @@ class TestDifferenceCoefficientsFromCases:
     def test_lipschitz_constant_checked_before_grid_size(self):
         with pytest.raises(DomainError, match=r"^Lipschitz constant must be >= 0, got -1.0$"):
             lipschitz_difference_params(4, -1.0, grid_size=0)
+
+
+class TestSquareOverflow:
+    """A d whose square overflows a float, or an int past the float range, is a DomainError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: lipschitz_difference_params(4, 1e155),
+                "range width plus Lipschitz constant 1e+155 is too large: its square overflows a float",
+            ),
+            (lambda: lipschitz_difference_params(4, 10**400), "Lipschitz constant is too large for a float"),
+            (
+                lambda: downward_variation(MonotoneReal(RangeSpec(-1e200, 1e200))),
+                "range width 2e+200 is too large: its square overflows a float",
+            ),
+            (
+                lambda: downward_variation(FiniteTheta([RangeSpec(0.0, 1e200)] * 2)),
+                "sum of range widths 2e+200 is too large: its square overflows a float",
+            ),
+            (
+                lambda: downward_variation(LipschitzDifferentiable(RangeSpec(0.0, 1.0), 1e300)),
+                "range width plus Lipschitz constant 1e+300 is too large: its square overflows a float",
+            ),
+            (lambda: RangeSpec(0, 10**400), "range endpoint hi is too large for a float"),
+        ],
+        ids=["k-lip-float", "k-lip-int", "monotone", "finite-theta", "differentiable", "range-int"],
+    )
+    def test_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_largest_square_still_passes(self):
+        k = 6e153  # 4 (1 + k)^2 is about 1.44e308, below the float maximum
+        assert lipschitz_difference_params(4, k).d == 4.0 * (1.0 + k) ** 2

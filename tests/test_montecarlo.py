@@ -652,3 +652,37 @@ class TestMonteCarloArgumentChecks:
         monkeypatch.setattr(montecarlo, "_trial_blocks", no_draws)
         with pytest.raises(DomainError, match=f"^side must be a TailSide, got {type(side).__name__}$"):
             iid_coverage(10, 100, 0, (0.5,), side)
+
+
+class TestPastNumpysDimensionLimit:
+    """A trial count or width numpy cannot even shape is reported like one that does not fit.
+
+    numpy refuses such a shape with a ValueError before it asks for memory, so
+    these runs allocate nothing.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["simulate", "coverage", "--n", "10", "--trials", str(10**20)], f"a result array of {10**20} trials"),
+            (
+                ["simulate", "sharpness", "--n", "16", "--l-target", "0.3", "--trials", str(10**20)],
+                f"a result array of {10**20} trials",
+            ),
+            (
+                ["simulate", "grid", "--n", "16", "--m", str(10**20), "--eps", "0.25", "--trials", "1"],
+                f"a trial row of width {10**20}",
+            ),
+        ],
+        ids=["coverage", "sharpness", "grid"],
+    )
+    def test_cli_exits_2(self, capsys, argv, what):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} does not fit in memory\n"
+
+    def test_size_past_the_limit(self):
+        # within the dimension limit, but more bytes than numpy can address
+        with pytest.raises(DomainError, match=f"^a result array of {2**62} trials does not fit in memory$"):
+            iid_coverage(2, 2**62, 0, (0.5,), TailSide.TWO_SIDED)
