@@ -33,15 +33,23 @@ loops.  The built-in ``sum()`` compensates float rounding from Python 3.12
 on, so it would give the coefficients different last bits on different
 Python versions; integer terms still add up exactly, as in ``sum()``.
 
+Both formulas that square, :func:`downward_variation` and
+:func:`mcdiarmid_from_ranges`, square through one guard, ``_square``: a
+square that is not a finite float is a DomainError naming what was squared,
+whatever the type of the base.
+
 All operations are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
+
+import numpy as np
 
 from .bounds import BoundParams, _finite
 from .errors import BvconcError, DomainError
@@ -63,7 +71,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RangeSpec:
-    """An open range (lo, hi); only its width enters any formula."""
+    """An open range (lo, hi); only its width, a finite float, enters any formula."""
 
     lo: float
     hi: float
@@ -73,6 +81,9 @@ class RangeSpec:
             raise DomainError(f"range endpoints must be finite, got ({self.lo}, {self.hi})")
         if not self.lo < self.hi:
             raise DomainError(f"degenerate range: lo {self.lo} must be < hi {self.hi}")
+        with np.errstate(over="ignore"):  # numpy endpoints: a width past the float range is inf
+            if not _finite("range width", self.width):
+                raise DomainError("range width is too large for a float")
 
     @property
     def width(self) -> float:
@@ -213,6 +224,22 @@ class LipschitzOneSided(_Lipschitz):
 DownwardVariationCase = Union[FiniteTheta, MonotoneReal, LipschitzDifferentiable, LipschitzOneSided]
 
 
+def _square(name: str, base) -> float:
+    """``base**2`` on ``base`` as given: an int square stays exact, a float one keeps its bits.
+
+    A square that is not a finite float is a DomainError naming ``name``.
+    """
+    _finite(name, base)  # a base too large for a float cannot be printed below
+    try:
+        with np.errstate(over="ignore"):  # numpy warns and returns inf, rejected below
+            square = base**2
+        if math.isfinite(square):  # raises OverflowError for an int past the float range
+            return square
+    except OverflowError:  # also a Python float square past the float range
+        pass
+    raise DomainError(f"{name} {base:g} is too large: its square overflows a float")
+
+
 def mcdiarmid_from_ranges(ranges: Sequence[RangeSpec]) -> float:
     """McDiarmid coefficient n^2 / sum of squared widths for an average of n functions."""
     ranges = _ranges(ranges)
@@ -220,8 +247,11 @@ def mcdiarmid_from_ranges(ranges: Sequence[RangeSpec]) -> float:
         raise DomainError("need at least one range")
     n = len(ranges)
     total = 0
-    for r in ranges:
-        total += r.width**2
+    with np.errstate(over="ignore"):  # numpy widths: a sum that overflows is inf, rejected below
+        for r in ranges:
+            total += _square("range width", r.width)
+    if total == math.inf:
+        raise DomainError("sum of squared range widths overflows a float")
     return n * n / total
 
 
@@ -238,20 +268,18 @@ def mcdiarmid_from_clusters(spec: ClusterSpec) -> float:
 
 def downward_variation(case: DownwardVariationCase) -> float:
     """Downward-variation coefficient for one of the four structural cases."""
-    if isinstance(case, FiniteTheta):
-        name, base = "sum of range widths", 0
-        for r in case.ranges:
-            base += r.width
-    elif isinstance(case, MonotoneReal):
-        name, base = "range width", case.range.width
-    elif isinstance(case, _Lipschitz):
-        name, base = "range width plus Lipschitz constant", case.range.width + case.k_lip
-    else:
-        raise DomainError(f"unknown downward-variation case: {case!r}")
-    try:
-        return base**2
-    except OverflowError:
-        raise DomainError(f"{name} {base:g} is too large: its square overflows a float") from None
+    with np.errstate(over="ignore"):  # numpy terms: an overflowing sum is inf, rejected by _square
+        if isinstance(case, FiniteTheta):
+            name, base = "sum of range widths", 0
+            for r in case.ranges:
+                base += r.width
+        elif isinstance(case, MonotoneReal):
+            name, base = "range width", case.range.width
+        elif isinstance(case, _Lipschitz):
+            name, base = "range width plus Lipschitz constant", case.range.width + case.k_lip
+        else:
+            raise DomainError(f"unknown downward-variation case: {case!r}")
+    return _square(name, base)
 
 
 _UNIT_RANGE = RangeSpec(0.0, 1.0)

@@ -20,18 +20,19 @@ Three experiments:
   growth of L(n) unavoidable.
 
 Reproducibility contract: every trial draws from a counter-based Philox
-stream keyed by (seed, experiment stream, trial index).  The experiments
-draw their trials in bounded blocks, one row per trial, from those same
-per-trial streams, so the block size never changes a result.  Results are
-bitwise-identical for identical (config, seed), and binomial draws are
-inverted from the exact binomial CDF (never sampled by rejection or normal
-approximation).
+stream keyed by (seed, experiment stream, trial index).  Every draw comes
+from ``_trial_blocks``, which yields the trials in bounded blocks, one row
+per trial, so the block size never changes a result; the one trial of
+``binomial_grid_sup`` is such a block of one row.  ``trial_rng`` builds one
+trial's stream on its own and is the reference those rows are tested
+against; no experiment calls it.  Results are bitwise-identical for
+identical (config, seed), and binomial draws are inverted from the exact
+binomial CDF (never sampled by rejection or normal approximation).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -39,8 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundParams, TailSide, _two_sided, tail_bound, threshold
-from .coefficients import _integer
+from .bounds import BoundParams, TailSide, _finite, _two_sided, tail_bound, threshold
+from .coefficients import _POOLED_ECDF_D, _integer
 from .errors import DomainError
 
 __all__ = [
@@ -71,7 +72,9 @@ def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
     """Counter-based generator for one trial: key (seed, stream), counter block = trial.
 
     Each trial owns a disjoint 2^128-block region of the Philox counter
-    space, so serial and parallel executions produce identical draws.
+    space, so serial and parallel executions produce identical draws.  No
+    experiment calls it: it is the reference that the rows of
+    ``_trial_blocks``, which draws every trial, are tested against.
     """
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, trial & _MASK64, 0], dtype=np.uint64)
@@ -118,9 +121,11 @@ def _allocate(shape, what: str, dtype=float) -> np.ndarray:
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float; a string or any other non-real is rejected, not parsed."""
-    if not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {type(value).__name__}")
+    """``value`` as a float, checked as ``bounds`` checks every ``eps`` and ``alpha``.
+
+    A non-real, a string included, or an int too large for a float is a DomainError.
+    """
+    _finite(name, value)
     return float(value)
 
 
@@ -135,7 +140,8 @@ class BinomialHalf:
     """Exact Binomial(n, 1/2) machinery shared by sampling and tail arithmetic.
 
     The CDF is accumulated in exact rational arithmetic and only rounded to
-    float once, so inversion sampling and enumeration oracles agree.
+    float once, so inversion sampling and enumeration oracles agree.  It holds
+    no generator: ``invert`` maps uniforms drawn by ``_trial_blocks``.
     """
 
     def __init__(self, n: int):
@@ -162,10 +168,6 @@ class BinomialHalf:
     def invert(self, u: np.ndarray) -> np.ndarray:
         """Binomial draws from uniforms ``u`` (any shape) by inverting the exact CDF."""
         return np.searchsorted(self._cdf, u, side="right")
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Inversion sampling from the exact CDF."""
-        return self.invert(rng.random(size))
 
 
 @lru_cache(maxsize=32)
@@ -257,11 +259,14 @@ def binomial_grid_sup(n: int, m: int, seed: int) -> float:
 
     Draws U_j ~ Binomial(n, 1/2) independently for j = 0..m-1 and returns
     max_j |U_j - n/2| / (n*m), the exact sup deviation of the pooled
-    empirical CDF from its mean for the two-point-support grid data.
+    empirical CDF from its mean for the two-point-support grid data.  The
+    uniforms are the one row of ``_trial_blocks`` for trial 0 of the grid
+    stream, so a row too wide to allocate is a DomainError here too.
     """
     config = SimConfig(n=n, m=m, trials=1, seed=seed, eps_grid=())
     n, m, seed = config.n, config.m, config.seed
-    u = _binomial_half(n).draw(trial_rng(seed, _STREAM_GRID, 0), m)
+    _, block = next(_trial_blocks(seed, _STREAM_GRID, 0, 1, m))
+    u = _binomial_half(n).invert(block[0])
     return float(np.max(np.abs(u - n / 2.0))) / (n * m)
 
 
@@ -359,7 +364,7 @@ def iid_coverage(
     sup = _allocate(trials, f"a result array of {trials} trials")
     for start, block in _trial_blocks(seed, _STREAM_COVERAGE, 0, trials, n):
         sup[start : start + len(block)] = _uniform_sup_distance(block, side)
-    params = BoundParams(c=n, d=1.0)
+    params = BoundParams(c=n, d=_POOLED_ECDF_D)
 
     rows = []
     for label, stats in (("adjusted", threshold(params, side, sup)), ("raw", math.sqrt(n) * sup)):

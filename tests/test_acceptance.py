@@ -94,7 +94,7 @@ def test_criterion_4_exact_enumeration():
         bh = _binomial_half(2)
         stats = np.empty(trials)
         for t in range(trials):
-            u = bh.draw(trial_rng(2026, _STREAM_GRID, t), 2)
+            u = bh.invert(trial_rng(2026, _STREAM_GRID, t).random(2))
             stats[t] = np.max(np.abs(u - 1.0)) / 4.0
         for value, prob in atoms.items():
             p = float(prob)

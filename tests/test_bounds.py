@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvconc import bounds
 from bvconc.bounds import (
     BoundParams,
+    EntropyEval,
     TailSide,
     critical_statistic,
     denominator,
@@ -25,7 +27,7 @@ from bvconc.bounds import (
     two_sample_critical,
     two_sample_tail_bound,
 )
-from bvconc.errors import DomainError, VacuousBoundError
+from bvconc.errors import ConvergenceError, DomainError, VacuousBoundError
 
 import oracles
 
@@ -225,6 +227,37 @@ class TestEntropy:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             entropy_exact_expfamily(1.0)
+
+
+class TestEntropyGuards:
+    """The guards of the entropy minimization that no valid argument x reaches."""
+
+    def test_value_below_one(self):
+        with pytest.raises(DomainError, match=r"^entropy value 0\.5 < 1 is impossible$"):
+            EntropyEval(x=4.0, p_star=1.0, value=0.5, upper_bound=2.0)
+
+    def test_value_above_its_bound(self):
+        with pytest.raises(DomainError, match=r"^entropy value 3\.0 exceeds its closed-form bound 2\.0$"):
+            EntropyEval(x=4.0, p_star=1.0, value=3.0, upper_bound=2.0)
+
+    def test_exponent_must_be_positive(self):
+        with pytest.raises(DomainError, match=r"^exponent p must be positive, got 0\.0$"):
+            entropy_objective(2.0, 0.0)
+
+    def test_objective_not_finite_on_the_scan_grid(self, monkeypatch):
+        monkeypatch.setattr(bounds, "entropy_objective", lambda x, p: math.nan)
+        with pytest.raises(
+            ConvergenceError, match=r"^entropy objective is not finite on the scan grid for x = 4\.0$"
+        ):
+            entropy_exact_expfamily(4.0)
+
+    def test_objective_decreasing_to_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(bounds, "entropy_objective", lambda x, p: -p)
+        with pytest.raises(
+            ConvergenceError,
+            match=r"^entropy objective still decreasing at the search ceiling for x = 4\.0; no minimum bracketed$",
+        ):
+            entropy_exact_expfamily(4.0)
 
 
 class TestThreshold:

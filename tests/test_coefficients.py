@@ -381,8 +381,63 @@ class TestSquareOverflow:
                 "range width plus Lipschitz constant 1e+300 is too large: its square overflows a float",
             ),
             (lambda: RangeSpec(0, 10**400), "range endpoint hi is too large for a float"),
+            pytest.param(
+                lambda: lipschitz_difference_params(4, np.float64(1e155)),
+                "range width plus Lipschitz constant 1e+155 is too large: its square overflows a float",
+                marks=pytest.mark.filterwarnings("error"),
+            ),
+            (
+                lambda: downward_variation(FiniteTheta([RangeSpec(0.0, 1e308)] * 2)),
+                "sum of range widths inf is too large: its square overflows a float",
+            ),
+            pytest.param(
+                lambda: downward_variation(FiniteTheta([RangeSpec(np.float64(0.0), np.float64(1e308))] * 2)),
+                "sum of range widths inf is too large: its square overflows a float",
+                marks=pytest.mark.filterwarnings("error"),
+            ),
+            (
+                lambda: downward_variation(FiniteTheta([RangeSpec(0, 10**308)] * 2)),
+                "sum of range widths is too large for a float",
+            ),
+            (
+                lambda: mcdiarmid_from_ranges([RangeSpec(0.0, 1e200)]),
+                "range width 1e+200 is too large: its square overflows a float",
+            ),
+            (
+                lambda: mcdiarmid_from_ranges([RangeSpec(0.0, 1e154)] * 3),
+                "sum of squared range widths overflows a float",
+            ),
+            pytest.param(
+                lambda: mcdiarmid_from_ranges([RangeSpec(np.float64(0.0), np.float64(1e154))] * 3),
+                "sum of squared range widths overflows a float",
+                marks=pytest.mark.filterwarnings("error"),
+            ),
+            (lambda: RangeSpec(-1e308, 1e308), "range width is too large for a float"),
+            (lambda: RangeSpec(-(10**308), 10**308), "range width is too large for a float"),
+            pytest.param(
+                lambda: RangeSpec(np.float64(-1e308), np.float64(1e308)),
+                "range width is too large for a float",
+                marks=pytest.mark.filterwarnings("error"),
+            ),
         ],
-        ids=["k-lip-float", "k-lip-int", "monotone", "finite-theta", "differentiable", "range-int"],
+        ids=[
+            "k-lip-float",
+            "k-lip-int",
+            "monotone",
+            "finite-theta",
+            "differentiable",
+            "range-int",
+            "k-lip-numpy-float",
+            "finite-theta-sum",
+            "finite-theta-numpy-sum",
+            "finite-theta-int-sum",
+            "mcdiarmid",
+            "mcdiarmid-sum",
+            "mcdiarmid-numpy-sum",
+            "range-width",
+            "range-int-width",
+            "range-numpy-width",
+        ],
     )
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,7 +47,7 @@ class TestBinomialHalf:
 
     def test_inversion_sampling_distribution(self):
         bh = BinomialHalf(16)
-        draws = bh.draw(trial_rng(3, 99, 0), 200_000)
+        draws = bh.invert(trial_rng(3, 99, 0).random(200_000))
         for k in (3, 8, 12):
             p = float(bh.cdf_fraction(k))
             emp = float(np.mean(draws <= k))
@@ -91,6 +92,15 @@ class TestBinomialGridSup:
         with pytest.raises(DomainError):
             binomial_grid_sup(2, 2, -1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**64 - 1))
+    @example(1, 1, 0)
+    @example(16, 60, 2**64 - 1)
+    def test_bits_of_the_trial_rng_reference(self, n, m, seed):
+        u = BinomialHalf(n).invert(trial_rng(seed, montecarlo._STREAM_GRID, 0).random(m))
+        want = float(np.max(np.abs(u - n / 2.0))) / (n * m)
+        assert binomial_grid_sup(n, m, seed).hex() == want.hex()
+
 
 def binomial_grid_sup_trials(n, m, seed, trials):
     """Sample the grid statistic across many trials using the per-trial streams."""
@@ -99,7 +109,7 @@ def binomial_grid_sup_trials(n, m, seed, trials):
     bh = _binomial_half(n)
     out = np.empty(trials)
     for t in range(trials):
-        u = bh.draw(trial_rng(seed, _STREAM_GRID, t), m)
+        u = bh.invert(trial_rng(seed, _STREAM_GRID, t).random(m))
         out[t] = np.max(np.abs(u - n / 2.0)) / (n * m)
     return out
 
@@ -535,6 +545,15 @@ class TestRealArguments:
                 lambda: iid_coverage(10, 100, 0, None, TailSide.TWO_SIDED),
                 "eps_grid must be iterable, got NoneType",
             ),
+            (
+                lambda: iid_coverage(10, 100, 0, (10**400,), TailSide.TWO_SIDED),
+                "eps is too large for a float",
+            ),
+            (
+                lambda: conjecture_refutation_experiment(16, [1], 10**400, 10, 0),
+                "eps is too large for a float",
+            ),
+            (lambda: sharpness_experiment(16, 10**400, 10, 0), "l_target is too large for a float"),
         ],
     )
     def test_rejected(self, call, message):
@@ -549,6 +568,11 @@ class TestRealArguments:
         config = SimConfig(n=1, m=1, trials=1, seed=0, eps_grid=[0, np.float32(0.5), Fraction(3, 4)])
         assert config.eps_grid == (0.0, 0.5, 0.75)
         assert all(type(e) is float for e in config.eps_grid)
+
+    def test_decimal_threshold_becomes_a_float(self):
+        # bounds._finite takes a Decimal as a real number, so the experiments do too
+        config = SimConfig(n=1, m=1, trials=1, seed=0, eps_grid=[Decimal("0.5")])
+        assert config.eps_grid == (0.5,) and type(config.eps_grid[0]) is float
 
 
 def _fail_wide_blocks(monkeypatch, width):
@@ -572,6 +596,7 @@ class TestOversizedRows:
             lambda w: conjecture_refutation_experiment(16, [w], 0.25, 1, 0),
             lambda w: iid_coverage(w, 100, 0, (0.5,), TailSide.TWO_SIDED),
             lambda w: sharpness_experiment(64, 0.05, 1, 0, m_cap=w),
+            lambda w: binomial_grid_sup(16, w, 0),
         ],
     )
     def test_domain_error(self, monkeypatch, call):
@@ -686,3 +711,7 @@ class TestPastNumpysDimensionLimit:
         # within the dimension limit, but more bytes than numpy can address
         with pytest.raises(DomainError, match=f"^a result array of {2**62} trials does not fit in memory$"):
             iid_coverage(2, 2**62, 0, (0.5,), TailSide.TWO_SIDED)
+
+    def test_grid_sup_width_past_the_limit(self):
+        with pytest.raises(DomainError, match=f"^a trial row of width {2**63} does not fit in memory$"):
+            binomial_grid_sup(16, 2**63, 0)
