@@ -46,6 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -99,9 +100,11 @@ class BoundParams:
     d: float
 
     def __post_init__(self) -> None:
-        if not (_finite("McDiarmid coefficient", self.c) and self.c > 0):
+        object.__setattr__(self, "c", _real("McDiarmid coefficient", self.c))
+        object.__setattr__(self, "d", _real("downward-variation coefficient", self.d))
+        if not (math.isfinite(self.c) and self.c > 0):
             raise DomainError(f"McDiarmid coefficient must be finite and positive, got {self.c}")
-        if not (_finite("downward-variation coefficient", self.d) and self.d > 0):
+        if not (math.isfinite(self.d) and self.d > 0):
             raise DomainError(f"downward-variation coefficient must be finite and positive, got {self.d}")
         if self.c * self.d <= 1.0:
             raise VacuousBoundError(
@@ -123,6 +126,17 @@ def _finite(name: str, x) -> bool:
         raise DomainError(f"{name} is too large for a float") from None
 
 
+def _real(name: str, x):
+    """``x`` checked as a real number by :func:`_finite`, as a float if it is a ``Decimal``.
+
+    A ``Decimal`` mixes with no float, so it is computed on as ``float(x)``.
+    Every other real comes back as given: ints, numpy scalars and
+    ``Fraction``s keep their type and every output bit.  ``x`` may be nan or inf.
+    """
+    _finite(name, x)
+    return float(x) if isinstance(x, Decimal) else x
+
+
 def _two_sided(side: TailSide) -> bool:
     """Whether ``side`` is two-sided; anything but a :class:`TailSide` is a DomainError."""
     if not isinstance(side, TailSide):
@@ -130,9 +144,12 @@ def _two_sided(side: TailSide) -> bool:
     return side is TailSide.TWO_SIDED
 
 
-def _require_gt1(x: float) -> None:
-    if not (_finite("bound argument", x) and x > 1.0):
+def _require_gt1(x: float) -> float:
+    """``x`` as :func:`_real` returns it, once it is a finite real > 1."""
+    x = _real("bound argument", x)
+    if not (math.isfinite(x) and x > 1.0):
         raise DomainError(f"bound argument must be a finite real > 1, got {x}")
+    return x
 
 
 def residual(x: float) -> float:
@@ -149,20 +166,20 @@ def residual_star(x: float) -> float:
     Computed directly as ln((pi/2)^(1/4) * (2*sqrt(ln x) + 1)) / sqrt(ln x),
     which equals the scaled form exactly.
     """
-    _require_gt1(x)
+    x = _require_gt1(x)
     s = math.sqrt(math.log(x))
     return math.log(_QUARTER_ROOT_HALF_PI * (2.0 * s + 1.0)) / s
 
 
 def denominator(x: float) -> float:
     """Two-sided normalization L(x) = 1 + sqrt(log_4 x) + R(x)."""
-    _require_gt1(x)
+    x = _require_gt1(x)
     return 1.0 + math.sqrt(math.log(x) / _LN4) + residual(x)
 
 
 def one_sided_shift(x: float) -> float:
     """One-sided centering S(x) = sqrt(ln x) + R*(x)."""
-    _require_gt1(x)
+    x = _require_gt1(x)
     return math.sqrt(math.log(x)) + residual_star(x)
 
 
@@ -184,7 +201,8 @@ def tail_bound_raw(params: BoundParams, side: TailSide, eps: float) -> float:
     Two-sided, this bounds Pr{ sqrt(c)/L(c*d) * sup|F - EF| > eps }; one-sided
     it bounds Pr{ sqrt(c) * sup(F - EF)^± - S(c*d) > eps }.
     """
-    if not (_finite("eps", eps) and eps >= 0.0):
+    eps = _real("eps", eps)
+    if not (math.isfinite(eps) and eps >= 0.0):
         raise DomainError(f"eps must be a finite real >= 0, got {eps}")
     _require_gt1(params.product)
     scale = 2.0 if _two_sided(side) else 1.0
@@ -202,7 +220,8 @@ def critical_statistic(params: BoundParams, side: TailSide, alpha: float) -> flo
     Two-sided: sqrt(ln(2/alpha)/2) * L(c*d) / sqrt(c).
     One-sided: (sqrt(ln(1/alpha)/2) + S(c*d)) / sqrt(c).
     """
-    if not (_finite("alpha", alpha) and 0.0 < alpha < 1.0):
+    alpha = _real("alpha", alpha)
+    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     x = params.product
     root_c = math.sqrt(params.c)
@@ -220,13 +239,14 @@ def two_sample_tail_bound(nu: float, xi: float, side: TailSide, eps: float) -> f
     1 - exp(-2*max(0, sqrt(v)*eps/2 - S(v))^2).  The bound is one minus the
     product, always within [0, 1].
     """
-    _finite("nu", nu)  # a non-real is rejected here; nan and inf fail the bound argument check
-    _finite("xi", xi)
+    # a non-real is rejected here; nan and inf fail the bound argument check
+    nu, xi = _real("nu", nu), _real("xi", xi)
     if nu <= 1.0 or xi <= 1.0:
         raise VacuousBoundError(
             f"both effective sample sizes must exceed 1, got {nu} and {xi}"
         )
-    if not (_finite("eps", eps) and eps >= 0.0):
+    eps = _real("eps", eps)
+    if not (math.isfinite(eps) and eps >= 0.0):
         raise DomainError(f"eps must be a finite real >= 0, got {eps}")
     if _two_sided(side):
 
@@ -249,7 +269,8 @@ def two_sample_critical(nu: float, xi: float, side: TailSide, alpha: float) -> f
     The bound is continuous and nonincreasing in eps: bracket by doubling from
     1, then bisect to a relative width of 1e-14 and return the midpoint.
     """
-    if not (_finite("alpha", alpha) and 0.0 < alpha < 1.0):
+    alpha = _real("alpha", alpha)
+    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     hi = 1.0
     while two_sample_tail_bound(nu, xi, side, hi) > alpha:
@@ -351,7 +372,7 @@ def entropy_exact_expfamily(x: float) -> EntropyEval:
     refinement.  For x below about 1.571 the objective is increasing in p and
     the infimum sits at the left edge of the scan; the edge value is returned.
     """
-    _require_gt1(x)
+    x = _require_gt1(x)
     lo = 1e-3
     hi = max(6.0 * math.sqrt(math.log(x)), 8.0 * lo)
     ratio = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))

@@ -378,10 +378,10 @@ def _clustered_sample(
 ) -> tuple[ClusteredSample, tuple[str, ...]]:
     """The sample built from :func:`_clustered_arrays`, with no second dict pass, and its notes."""
     values, codes = arrays
-    notes = ()
     if codes is None:
-        notes = (f"{path}: no cluster column; treating each observation as its own cluster (iid)",)
-    return ClusteredSample._built(values, None, codes), notes
+        note = f"{path}: no cluster column; treating each observation as its own cluster (iid)"
+        return ClusteredSample.iid(values), (note,)
+    return ClusteredSample._built(values, lambda: codes), ()
 
 
 def _ingest_clustered(path: str) -> tuple[ClusteredSample, tuple[str, ...]]:

@@ -51,7 +51,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bounds import BoundParams, _finite
+from .bounds import BoundParams, _finite, _real
 from .errors import BvconcError, DomainError
 
 __all__ = [
@@ -77,7 +77,9 @@ class RangeSpec:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (_finite("range endpoint lo", self.lo) and _finite("range endpoint hi", self.hi)):
+        object.__setattr__(self, "lo", _real("range endpoint lo", self.lo))
+        object.__setattr__(self, "hi", _real("range endpoint hi", self.hi))
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"range endpoints must be finite, got ({self.lo}, {self.hi})")
         if not self.lo < self.hi:
             raise DomainError(f"degenerate range: lo {self.lo} must be < hi {self.hi}")
@@ -195,10 +197,12 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
-def _check_k_lip(k_lip: float, error: type[BvconcError] = DomainError) -> None:
-    """Reject a Lipschitz constant that is negative or not finite, raising ``error``."""
-    if not (_finite("Lipschitz constant", k_lip) and k_lip >= 0.0):
+def _check_k_lip(k_lip: float, error: type[BvconcError] = DomainError) -> float:
+    """``k_lip`` as :func:`~bvconc.bounds._real` returns it; one negative or not finite raises ``error``."""
+    k_lip = _real("Lipschitz constant", k_lip)
+    if not (math.isfinite(k_lip) and k_lip >= 0.0):
         raise error(f"Lipschitz constant must be >= 0, got {k_lip}")
+    return k_lip
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,7 @@ class _Lipschitz:
 
     def __post_init__(self) -> None:
         _check_range("range", self.range)
-        _check_k_lip(self.k_lip)
+        object.__setattr__(self, "k_lip", _check_k_lip(self.k_lip))
 
 
 class LipschitzDifferentiable(_Lipschitz):

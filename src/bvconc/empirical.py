@@ -31,9 +31,10 @@ maximum is a lower bound, and adding half the worst gap times the Lipschitz
 constant of the difference (2K) gives an upper bound.
 
 A ``ClusteredSample`` numbers its cluster labels in one dict pass (which
-``from_pairs`` feeds straight from the pairs; ``iid`` numbers the
-observations with no dict pass, and the CLI hands over the codes of the
-pass it made while reading a file) and builds its cluster spec and ECDF
+``from_pairs`` runs over its pairs, unpacking each entry as exactly two
+items, the value being ``entry[0]``; ``iid`` numbers the observations with
+no dict pass, and the CLI hands over the codes of the pass it made while
+reading a file) and builds its cluster spec and ECDF
 once, at construction, and stores them beside read-only arrays, so every
 test on the sample reuses them and instances stay immutable and safe to
 share.  The ECDF comes from one sorted copy of the values, whose run starts
@@ -86,6 +87,29 @@ def _label_codes(labels: Iterable[Hashable], n: int) -> np.ndarray:
         raise DomainError(f"cluster labels must be hashable: {exc}") from None
 
 
+def _pair_codes(pairs: Sequence) -> np.ndarray:
+    """The labels of ``pairs`` numbered like :func:`_label_codes`, each entry unpacked as exactly two items.
+
+    When the pass fails, a rescan in entry order names the first entry that
+    is not two items, or whose label is unhashable.
+    """
+    index = defaultdict(itertools.count().__next__)
+    try:
+        codes = [index[label] for _, label in pairs]
+    except (TypeError, ValueError):
+        for i, entry in enumerate(pairs):
+            try:
+                _, label = entry
+            except (TypeError, ValueError):
+                raise _pair_error(pairs, i) from None
+            try:
+                index[label]
+            except TypeError as exc:
+                raise DomainError(f"cluster labels must be hashable: {exc}") from None
+        raise
+    return np.fromiter(codes, dtype=np.intp, count=len(codes))
+
+
 def _float64(values, what="observation values", read=np.array, error=DomainError) -> np.ndarray:
     """``read(values, dtype=np.float64)``; a value that is not a real number raises ``error`` naming ``what``."""
     try:
@@ -131,20 +155,14 @@ class ClusteredSample:
             ) from None
         if values.size != n_labels:
             raise DomainError(f"{values.size} values but {n_labels} cluster labels")
-        self._build(values, labels)
+        self._build(values, lambda: _label_codes(labels, n_labels))
 
-    def _build(
-        self,
-        values: np.ndarray,
-        labels: Iterable[Hashable] | None,
-        codes: np.ndarray | None = None,
-    ) -> None:
-        """Check ``values`` (float64, owned by this sample), number ``labels`` and store both.
+    def _build(self, values: np.ndarray, codes: Callable[[], np.ndarray]) -> None:
+        """Check ``values`` (float64, owned by this sample), then store them with ``codes()``.
 
-        ``labels`` yields one label per value; ``None`` makes each observation
-        its own cluster, numbered like ``range(n)`` without a dict pass.
-        ``codes``, when given, are the labels already numbered by
-        :func:`_label_codes` (``labels`` is then ignored), so no dict pass runs.
+        ``codes`` returns the ``intp`` cluster codes of the values, numbered in
+        order of first appearance; it runs only once the values pass, so a bad
+        value is reported before a bad label.
         """
         if values.ndim != 1:
             raise DomainError(f"values must be a 1-d sequence, got shape {values.shape}")
@@ -154,10 +172,7 @@ class ClusteredSample:
         if not finite.all():
             bad = float(values[np.argmin(finite)])
             raise DomainError(f"observation values must be finite, got {bad}")
-        if codes is None and labels is None:
-            codes = np.arange(values.size, dtype=np.intp)
-        elif codes is None:
-            codes = _label_codes(labels, values.size)
+        codes = codes()
         for array in (values, codes):
             array.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -167,25 +182,22 @@ class ClusteredSample:
         object.__setattr__(self, "_parts", None)
 
     @classmethod
-    def _built(
-        cls,
-        values: np.ndarray,
-        labels: Iterable[Hashable] | None,
-        codes: np.ndarray | None = None,
-    ) -> "ClusteredSample":
+    def _built(cls, values: np.ndarray, codes: Callable[[], np.ndarray]) -> "ClusteredSample":
         sample = object.__new__(cls)
-        sample._build(values, labels, codes)
+        sample._build(values, codes)
         return sample
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, Hashable]]) -> "ClusteredSample":
         """Sample from ``(value, label)`` pairs; the labels go straight into the dict pass.
 
-        An entry that is not a pair, or whose value is not a real number, is
-        named by its index: each pass reads the pairs through its own
-        iterator, which stops just past the entry that failed.  A ``None``
-        value, which ``np.fromiter`` reads as nan, is looked for only once the
-        finiteness check has failed.
+        Each entry is unpacked as exactly two items, and its value is
+        ``entry[0]``.  An entry that is not a pair, or whose value is not a
+        real number, is named by its index: the value pass reads the pairs
+        through its own iterator, which stops just past the entry that failed,
+        and a failed label pass rescans them in order.  A ``None`` value, which
+        ``np.fromiter`` reads as nan, is looked for only once the finiteness
+        check has failed.
         """
         if not isinstance(pairs, (list, tuple)):
             pairs = list(pairs)
@@ -194,11 +206,8 @@ class ClusteredSample:
             values = np.fromiter(map(itemgetter(0), rest), dtype=np.float64, count=len(pairs))
         except (TypeError, ValueError, LookupError):
             raise _pair_error(pairs, _taken(pairs, rest)) from None
-        rest = iter(pairs)
         try:
-            return cls._built(values, map(itemgetter(1), rest))
-        except LookupError:
-            raise _pair_error(pairs, _taken(pairs, rest)) from None
+            return cls._built(values, lambda: _pair_codes(pairs))
         except DomainError:
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size and pairs[bad[0]][0] is None:
@@ -212,12 +221,13 @@ class ClusteredSample:
         The codes, sizes and ECDF equal those of ``cluster_ids=range(n)``.
         """
         read = np.array if isinstance(values, np.ndarray) else np.fromiter
-        return cls._built(_float64(values, read=read), None)
+        values = _float64(values, read=read)
+        return cls._built(values, lambda: np.arange(values.size, dtype=np.intp))
 
     def __reduce__(self):
-        # a copy is built and checked like the original, with read-only arrays and
-        # no kept comparison (whose weak reference would not pickle)
-        return type(self)._built, (self.values, None, self.cluster_ids)
+        # a copy is built and checked like the original, from a copy of the codes, with
+        # read-only arrays and no kept comparison (whose weak reference would not pickle)
+        return type(self)._built, (self.values, self.cluster_ids.copy)
 
     @property
     def n(self) -> int:
@@ -510,7 +520,7 @@ class TrajectoryPanel:
         # min and max carry a nan through, and Python comparisons never warn
         if not (float(vals.min()) >= -1e-12 and float(vals.max()) <= 1.0 + 1e-12):
             raise DataFormatError("trajectory values must lie in [0, 1]")
-        _check_k_lip(self.k_lip, DataFormatError)
+        object.__setattr__(self, "k_lip", _check_k_lip(self.k_lip, DataFormatError))
         self._check_consistency()
 
     def _check_consistency(self) -> None:

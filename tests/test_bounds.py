@@ -2,6 +2,7 @@
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from bvconc.bounds import (
     two_sample_critical,
     two_sample_tail_bound,
 )
+from bvconc.coefficients import RangeSpec, lipschitz_difference_params, mcdiarmid_from_ranges
 from bvconc.errors import ConvergenceError, DomainError, VacuousBoundError
 
 import oracles
@@ -360,6 +362,11 @@ class TestNonRealScalars:
             (lambda: BoundParams(c=100.0, d=None), "downward-variation coefficient must be a real number, got NoneType"),
             (lambda: BoundParams(c=100.0, d=1j), "downward-variation coefficient must be a real number, got complex"),
             (lambda: denominator("5"), "bound argument must be a real number, got str"),
+            # above 1 as a Decimal, 1.0 as the float it is computed on
+            (
+                lambda: denominator(Decimal("1.00000000000000000001")),
+                "bound argument must be a finite real > 1, got 1.0",
+            ),
             (lambda: residual("5"), "bound argument must be a real number, got str"),
             (lambda: one_sided_shift(b"5"), "bound argument must be a real number, got bytes"),
             (lambda: tail_bound(TestNonRealScalars.PARAMS, TailSide.PLUS, "0.5"), "eps must be a real number, got str"),
@@ -380,6 +387,37 @@ class TestNonRealScalars:
     def test_rejected(self, call, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: BoundParams(x("4"), 1.0),
+            lambda x: BoundParams(4.0, x("0.5")),
+            lambda x: tail_bound(BoundParams(4.0, 1.0), TailSide.TWO_SIDED, x("0.5")),
+            lambda x: critical_statistic(BoundParams(4.0, 1.0), TailSide.PLUS, x("0.05")),
+            lambda x: two_sample_tail_bound(x("40"), 30.0, TailSide.TWO_SIDED, x("0.5")),
+            lambda x: two_sample_critical(40.0, 30.0, TailSide.TWO_SIDED, x("0.05")),
+            lambda x: lipschitz_difference_params(4, x("1")),
+            lambda x: mcdiarmid_from_ranges([RangeSpec(x("0.1"), 2.0)]),
+            lambda x: denominator(x("5")),
+        ],
+        ids=[
+            "c",
+            "d",
+            "tail-bound",
+            "critical",
+            "two-sample-bound",
+            "two-sample-critical",
+            "k-lip",
+            "range",
+            "denominator",
+        ],
+    )
+    def test_decimal_is_computed_on_as_a_float(self, call):
+        # a Decimal mixes with no float; each call gives what float(x) gives, bit for bit
+        got = call(Decimal)
+        assert repr(got) == repr(call(lambda text: float(Decimal(text))))
+        assert "Decimal" not in repr(got)
 
     def test_reals_pass_unconverted(self):
         # ints stay ints, so every product and output bit is what it was

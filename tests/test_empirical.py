@@ -894,6 +894,40 @@ class TestSampleBuildPaths:
         for given_pairs in (pairs, tuple(pairs), iter(pairs), (pair for pair in pairs)):
             assert_same_sample(ClusteredSample.from_pairs(given_pairs), want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([tuple, list, np.array]),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([1, 1.0, True, "1", 0, -0.0, False, "a"]),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_from_pairs_matches_constructor_property(self, draws):
+        # 1, 1.0, True and an array's 1.0 are one cluster, "1" another; an array with a
+        # string label holds the value as a string, which both builds parse alike
+        pairs = [make((value, label)) for make, value, label in draws]
+        values, labels = [entry[0] for entry in pairs], [entry[1] for entry in pairs]
+        assert_same_sample(ClusteredSample.from_pairs(pairs), ClusteredSample(values=values, cluster_ids=labels))
+
+    def test_from_pairs_peak_memory_is_bounded(self):
+        n = 2**18
+        rng = np.random.default_rng(18)
+        pairs = list(zip(rng.random(n).tolist(), ("abcd"[k] for k in rng.integers(0, 4, n))))
+        tracemalloc.start()
+        try:
+            ClusteredSample.from_pairs(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 8 bytes a pair each: the kept values, codes, ECDF jumps (no ties here) and
+        # heights (32), the ECDF build's run-start index (8) and the one code list (8);
+        # a Python float or tuple kept per pair would add 24 bytes or more
+        assert peak < (32 + 8 + 8) * n
+
     def test_empty_input(self):
         for build in (
             lambda: ClusteredSample(values=[], cluster_ids=[]),
@@ -1133,6 +1167,22 @@ class TestMalformedSampleInput:
             ([(0.5, "a"), (0.7, "b"), (0.9,)], "pair 2 must be a (real value, label) pair, got (0.9,)"),
             (iter([(0.5, "a"), (0.7,)]), "pair 1 must be a (real value, label) pair, got (0.7,)"),
             (((0.5, "a"), {0: 0.7}), "pair 1 must be a (real value, label) pair, got {0: 0.7}"),
+            (
+                [(1.0, "a", "extra"), (2.0, "b")],
+                "pair 0 must be a (real value, label) pair, got (1.0, 'a', 'extra')",
+            ),
+            ([(1.0, "a"), [2.0]], "pair 1 must be a (real value, label) pair, got [2.0]"),
+            ([(1.0, "a"), [2.0, "b", "c"]], "pair 1 must be a (real value, label) pair, got [2.0, 'b', 'c']"),
+            (
+                [np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])],
+                "pair 1 must be a (real value, label) pair, got array([3., 4., 5.])",
+            ),
+            # a string's items are its characters
+            (["1a", "12a"], "pair 1 must be a (real value, label) pair, got '12a'"),
+            (
+                iter([(1.0, "a"), (2.0, "b"), (3.0, "c", None)]),
+                "pair 2 must be a (real value, label) pair, got (3.0, 'c', None)",
+            ),
         ],
     )
     def test_from_pairs_names_the_entry(self, pairs, shown):
@@ -1145,6 +1195,18 @@ class TestMalformedSampleInput:
             ([(math.nan, "a"), (1.0,)], "observation values must be finite, got nan"),
             ([(1.0, [1]), (2.0,)], "cluster labels must be hashable: unhashable type: 'list'"),
             ([], "sample must be nonempty"),
+            # the value pass and the finiteness check come first, then the first bad entry in order
+            (
+                [(1.0, "a"), (2.0, "b", "c"), (3.0, ["d"]), (4.0,)],
+                "pair 1 must be a (real value, label) pair, got (2.0, 'b', 'c')",
+            ),
+            (
+                [(1.0, "a"), (2.0, ["d"]), (3.0, "b", "c")],
+                "cluster labels must be hashable: unhashable type: 'list'",
+            ),
+            ([(math.nan, "a"), (1.0, "b", "c")], "observation values must be finite, got nan"),
+            ([(1.0, "a", "c"), (math.inf, "b")], "observation values must be finite, got inf"),
+            ([(1.0, "a", "c"), ("x", "b")], "pair 1 must be a (real value, label) pair, got ('x', 'b')"),
         ],
     )
     def test_from_pairs_keeps_the_check_order(self, pairs, message):
