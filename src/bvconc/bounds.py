@@ -188,9 +188,16 @@ def threshold(params: BoundParams, side: TailSide, stat):
 
     Two-sided sqrt(c) * stat / L(c*d); one-sided sqrt(c) * stat - S(c*d),
     floored at 0.  ``tail_bound(params, side, threshold(params, side, stat))``
-    is the p-value upper bound of ``stat``.
+    is the p-value upper bound of ``stat``.  A scalar ``stat`` is checked by
+    :func:`_real`; an array must have a real dtype, and its elements are used
+    as they are.
     """
-    if _two_sided(side):
+    two_sided = _two_sided(side)
+    if not isinstance(stat, np.ndarray):
+        stat = _real("statistic", stat)
+    elif stat.dtype.kind not in "biuf":
+        raise DomainError(f"statistic must be a real array, got dtype {stat.dtype}")
+    if two_sided:
         return math.sqrt(params.c) * stat / denominator(params.product)
     return np.maximum(math.sqrt(params.c) * stat - one_sided_shift(params.product), 0.0)
 

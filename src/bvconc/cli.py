@@ -52,8 +52,10 @@ straight into float64: a regular file from its path, which numpy reads in
 blocks, and anything else from the handle, line by line.  The reference reads
 every row with ``csv.reader`` and ``float(cell.strip())``; it runs only when
 the fast one cannot read the whole file, and it either returns the same
-arrays or names the first fault.  An input that is not a regular file (a pipe
-or a FIFO) is read into memory once, and both readers take that copy.
+arrays or names the first fault.  The fast one numbers cluster labels while
+numpy parses them, so it keeps no str per row, only one ``intp`` code.  An
+input that is not a regular file (a pipe or a FIFO) is read into memory once,
+and both readers take that copy.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from .bounds import (
     tail_bound,
     tail_bound_raw,
 )
-from .empirical import ClusteredSample, TrajectoryPanel, _label_codes
+from .empirical import ClusteredSample, TrajectoryPanel, _label_codes, _label_index
 from .errors import BvconcError, DataFormatError, DomainError
 from .kstests import (
     DEFAULT_ALPHAS,
@@ -181,16 +183,24 @@ def _may_hold_long_cell(path: str, source: bytes | int | None) -> bool:
     other is read whole, and one with no comma and no quote counts only if
     the file holds a quote.  The blocks are read from ``source``: the copy of
     an input that is not a regular file, or the descriptor of the open file,
-    read with ``os.pread`` so that the handle's position does not move
-    (``None`` opens ``path``).  A memory map would add the whole file to the
-    resident set.
+    read with ``os.lseek`` and ``os.read`` (``os.pread`` is POSIX-only), the
+    descriptor's offset put back after each read, so that the handle's
+    position does not move (``None`` opens ``path``).  A memory map would add
+    the whole file to the resident set.
     """
     if source is None:
         with open(path, "rb", buffering=0) as raw:
             return _may_hold_long_cell(path, raw.fileno())
     if isinstance(source, int):
-        size = os.fstat(source).st_size
-        read = lambda start, length: os.pread(source, length, start)
+        size, offset = os.fstat(source).st_size, os.lseek(source, 0, os.SEEK_CUR)
+
+        def read(start: int, length: int) -> bytes:
+            os.lseek(source, start, os.SEEK_SET)
+            try:
+                return os.read(source, length)
+            finally:
+                os.lseek(source, offset, os.SEEK_SET)
+
     else:
         size = len(source)
         read = lambda start, length: source[start : start + length]
@@ -212,15 +222,17 @@ def _may_hold_long_cell(path: str, source: bytes | int | None) -> bool:
 
 
 def _read_reference(
-    path: str, check_header: HeaderCheck, data: bytes | None = None
-) -> tuple[list[str], np.ndarray, list[str]]:
+    path: str, check_header: HeaderCheck, data: bytes | None = None, *, coded: bool = False
+) -> tuple[list[str], np.ndarray, list[str] | np.ndarray]:
     """Read ``path`` row by row with ``csv.reader``; the reference the array reader must match.
 
     Returns the stripped header, the numeric cells as a 2-d float64 array
     parsed by ``float(cell.strip())``, and the stripped labels of the columns
     after them (``check_header`` returns how many leading columns are
-    numeric).  Raises on the first bad row or cell, in file order.  ``data``,
-    when given, is the content of ``path`` already read, and is read instead;
+    numeric); with ``coded``, those labels numbered in order of first
+    appearance by ``empirical._label_codes``, as ``intp`` codes.  Raises on
+    the first bad row or cell, in file order.  ``data``, when given, is the
+    content of ``path`` already read, and is read instead;
     :func:`_read_table` always hands it over, so it never opens ``path``.
     """
     with _text(open(path, "rb") if data is None else io.BytesIO(data)) as fh:
@@ -245,7 +257,7 @@ def _read_reference(
             if not label:
                 raise DataFormatError(f"{path}: row {row_no}, column {col}: empty cluster label")
             labels.append(label)
-    return header, np.array(numbers, dtype=np.float64), labels
+    return header, np.array(numbers, dtype=np.float64), _label_codes(labels, len(labels)) if coded else labels
 
 
 # names that numpy's loadtxt would decompress by suffix when given as a path
@@ -261,13 +273,22 @@ def _names_open_file(name: str, fd: int) -> bool:
 
 
 def _read_table(
-    path: str, check_header: HeaderCheck, data: bytes | None = None
-) -> tuple[list[str], np.ndarray, list[str]]:
+    path: str, check_header: HeaderCheck, data: bytes | None = None, *, coded: bool = False
+) -> tuple[list[str], np.ndarray, list[str] | np.ndarray]:
     """The stripped header of ``path``, its numeric cells as a 2-d float64 array, and its labels.
 
-    The header is the first non-blank ``csv.reader`` record; numpy's C reader
-    parses the rest straight into float64 (a ``value`` float and a ``cluster``
-    str per row when the file has a label column).  Its float grammar is a
+    With ``coded``, the labels come as :func:`_read_reference` gives them
+    with ``coded``: ``intp`` codes numbering the stripped labels in order of
+    first appearance.  The header is the first non-blank ``csv.reader``
+    record; numpy's C reader parses the rest straight into float64.  When
+    the file has a label column it reads a ``value`` float and a ``cluster``
+    code per row: numpy hands each label cell, unquoted and not stripped, to
+    a first-appearance dict, once per row in row order, and keeps only the
+    code, so no str is kept per row.  The checks below run once per distinct
+    label, and when some distinct label is padded, one array remaps the
+    codes to those of the stripped labels; without ``coded`` the label list
+    is rebuilt from the stripped distinct labels and the codes (only the
+    reader tests read that form).  Its float grammar is a
     subset of ``float(cell.strip())`` and correctly rounded, so every number
     it reads has the reference's bits.  A regular file reaches numpy as its
     absolute path, which numpy reads in blocks, skipping the physical lines
@@ -312,12 +333,12 @@ def _read_table(
         reader = csv.reader(fh)
         header = next(_records(path, reader), None)
         if header is None:  # an empty file, which the reference reports
-            return _read_reference(path, check_header, content())
+            return _read_reference(path, check_header, content(), coded=coded)
         header = [cell.strip() for cell in header]
         numeric = check_header(path, header)
         # loadtxt has no field size limit; the reference reports one
         if _may_hold_long_cell(path, raw.fileno() if data is None else data):
-            return _read_reference(path, check_header, content())
+            return _read_reference(path, check_header, content(), coded=coded)
         name = os.fsdecode(path)
         if data is None and not name.endswith(_COMPRESSED_SUFFIXES):
             # absolute, so numpy never takes it for a URL; not normalized, so ".."
@@ -327,12 +348,18 @@ def _read_table(
         else:
             source, skiprows = fh, 0
         labelled = numeric < len(header)  # the one labelled layout is value,cluster
+        if labelled:  # numpy hands each label cell to the dict once, in row order, and keeps its code
+            index = _label_index()
+            dtype, converters = [("value", "f8"), ("cluster", np.intp)], {1: index.__getitem__}
+        else:
+            dtype, converters = np.float64, None
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 body = np.loadtxt(
                     source,
-                    dtype=[("value", "f8"), ("cluster", object)] if labelled else np.float64,
+                    dtype=dtype,
+                    converters=converters,
                     delimiter=",",
                     quotechar='"',
                     comments=None,
@@ -343,34 +370,34 @@ def _read_table(
         except (ValueError, OSError):  # UnicodeDecodeError included; OSError: the name is gone
             body = None
         if source is not fh and not _names_open_file(source, raw.fileno()):
-            return _read_table(path, check_header, content())
+            return _read_table(path, check_header, content(), coded=coded)
         if body is None or not body.size:
-            return _read_reference(path, check_header, content())
+            return _read_reference(path, check_header, content(), coded=coded)
         if labelled:
-            numbers = body["value"][:, np.newaxis]
-            labels = body["cluster"].tolist()
+            numbers, codes = body["value"][:, np.newaxis], body["cluster"]
             # each distinct label is checked once: one over csv's field limit (loadtxt
             # has none), an empty one, or one with a line break goes to the reference
-            distinct = dict.fromkeys(labels)
+            distinct = list(index)
             limit = csv.field_size_limit()
             if any(len(label) > limit or "\n" in label or not label.strip() for label in distinct):
-                return _read_reference(path, check_header, content())
-            if any(label.strip() != label for label in distinct):
-                labels = list(map(str.strip, labels))
+                return _read_reference(path, check_header, content(), coded=coded)
+            stripped = [label.strip() for label in distinct]
+            if coded and stripped != distinct:  # spellings that strip alike become one label
+                codes = _label_codes(stripped, len(stripped))[codes]
         else:
-            numbers, labels = body, []
+            numbers, codes, stripped = body, np.empty(0, np.intp), []
         if numbers.shape[1] != numeric or not np.isfinite(numbers).all():
-            return _read_reference(path, check_header, content())
-    return header, numbers, labels
+            return _read_reference(path, check_header, content(), coded=coded)
+    return header, numbers, codes if coded else [stripped[code] for code in codes.tolist()]
 
 
 def _clustered_arrays(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     """The values of a clustered CSV and its labels' first-appearance codes (``None`` if iid)."""
-    header, numbers, labels = _read_table(path, _clustered_header)
+    header, numbers, codes = _read_table(path, _clustered_header, coded=True)
     values = numbers[:, 0].copy()
     if len(header) == 1:
         return values, None
-    return values, _label_codes(labels, values.size)
+    return values, np.ascontiguousarray(codes)
 
 
 def _clustered_sample(

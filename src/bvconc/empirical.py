@@ -74,13 +74,18 @@ __all__ = [
 ]
 
 
-def _label_codes(labels: Iterable[Hashable], n: int) -> np.ndarray:
-    """The ``n`` labels numbered in order of first appearance, as ``intp`` codes, in one dict pass.
+def _label_index() -> defaultdict:
+    """An empty first-appearance index: a label's first lookup misses and takes the next code.
 
-    A label's first lookup misses and takes the next code, which keeps the
-    size list deterministic under relabeling.
+    Every reader numbers labels through one, which keeps the size list
+    deterministic under relabeling.
     """
-    index = defaultdict(itertools.count().__next__)
+    return defaultdict(itertools.count().__next__)
+
+
+def _label_codes(labels: Iterable[Hashable], n: int) -> np.ndarray:
+    """The ``n`` labels numbered in order of first appearance, as ``intp`` codes, in one dict pass."""
+    index = _label_index()
     try:
         return np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=n)
     except TypeError as exc:
@@ -93,7 +98,7 @@ def _pair_codes(pairs: Sequence) -> np.ndarray:
     When the pass fails, a rescan in entry order names the first entry that
     is not two items, or whose label is unhashable.
     """
-    index = defaultdict(itertools.count().__next__)
+    index = _label_index()
     try:
         codes = [index[label] for _, label in pairs]
     except (TypeError, ValueError):

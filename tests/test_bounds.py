@@ -382,6 +382,12 @@ class TestNonRealScalars:
                 lambda: two_sample_critical(40.0, 30.0, TailSide.MINUS, np.array([0.05, 0.1])),
                 "alpha must be a real number, got ndarray",
             ),
+            (lambda: threshold(BoundParams(4.0, 1.0), TailSide.PLUS, "0.5"), "statistic must be a real number, got str"),
+            (lambda: threshold(BoundParams(4.0, 1.0), TailSide.PLUS, None), "statistic must be a real number, got NoneType"),
+            (
+                lambda: threshold(BoundParams(4.0, 1.0), TailSide.TWO_SIDED, np.array(["0.5"])),
+                "statistic must be a real array, got dtype <U3",
+            ),
         ],
     )
     def test_rejected(self, call, message):
@@ -400,6 +406,7 @@ class TestNonRealScalars:
             lambda x: lipschitz_difference_params(4, x("1")),
             lambda x: mcdiarmid_from_ranges([RangeSpec(x("0.1"), 2.0)]),
             lambda x: denominator(x("5")),
+            lambda x: threshold(BoundParams(4.0, 1.0), TailSide.TWO_SIDED, x("0.5")),
         ],
         ids=[
             "c",
@@ -411,6 +418,7 @@ class TestNonRealScalars:
             "k-lip",
             "range",
             "denominator",
+            "threshold",
         ],
     )
     def test_decimal_is_computed_on_as_a_float(self, call):

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from contextlib import nullcontext, redirect_stderr, redirect_stdout, suppress
 from functools import partial
@@ -378,6 +379,10 @@ def write_raw(tmp_path, name, text):
     return str(path)
 
 
+# labels that strip alike, each first seen padded: " a" and "a", "b" and "\x1cb", " c " and "c"
+STRIP_MERGE = 'value,cluster\n1, a\n2,b\n3,a\n4,\x1cb\n5," c "\n6,c\n7,"x,y"\n'
+
+
 class TestCsvDialect:
     """The array reader splits, strips and parses cells exactly as ``csv.reader`` rows would."""
 
@@ -403,11 +408,12 @@ class TestCsvDialect:
             "value,cluster\n1.0,a\n2.0,b",
             '"value","cluster"\n"1.5","a"\n"-2e-3",a\n',
             "value\n1.0\n\n2.0\n0.5\n",
+            STRIP_MERGE,
         ],
         ids=[
             "basic", "blank-lines", "crlf", "cr-only", "quoted-comma", "quoted-newline",
             "doubled-quote", "unterminated-quote", "spaces", "hash-in-label",
-            "no-trailing-newline", "quoted-values", "iid-column",
+            "no-trailing-newline", "quoted-values", "iid-column", "strip-merge",
         ],
     )
     def test_clustered_parity(self, tmp_path, text):
@@ -610,6 +616,13 @@ class TestReaderParity:
         path = write_raw(tmp_path, "s.csv", "value,cluster\n\x1c1.5,a\n2.5\x1f,a\n\x1d\x1e-3.5\x1e,\x1fb\x1c\n")
         header, numbers, labels = read(path, _clustered_header)
         assert (header, numbers.tolist(), labels) == (["value", "cluster"], [[1.5], [2.5], [-3.5]], ["a", "a", "b"])
+
+    @pytest.mark.parametrize("read", [_read_table, _read_reference], ids=["fast", "reference"])
+    def test_labels_that_strip_alike_are_one_cluster(self, tmp_path, read):
+        path = write_raw(tmp_path, "m.csv", STRIP_MERGE)
+        assert read(path, _clustered_header)[2] == ["a", "b", "a", "b", "c", "c", "x,y"]
+        sample, _ = ingest_outcome(_ingest_clustered, path, read)
+        assert sample.cluster_ids.tobytes() == np.array([0, 1, 0, 1, 2, 2, 3], dtype=np.intp).tobytes()
 
     def test_separator_padding_in_panels(self, tmp_path):
         path = write_raw(tmp_path, "s.csv", "time,unit_1\n\x1c0.0\x1d,\x1e0.25\n1.0\x1f,0.5\n")
@@ -1005,6 +1018,42 @@ class TestLongNumericCell:
         assert main(["kstest", "one-sample", "--data", path, "--ref", "normal"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text, decision",
+        [
+            (f"value,cluster\n{LONG},a\n2.0,b\n", True),
+            ('value,cluster\n"' + "\n" * 140_000 + '1.0",a\n2.0,b\n', True),
+            (f"value\n{LONG}\n2.0\n", True),
+            ('value\n"' + " \n" * 70_000 + '1.0"\n2.0\n', True),
+            ('value,cluster\n1.0,a\n2.0,"' + "a,\n" * 50_000 + 'z"\n', False),
+            ("value,cluster\n" + " " * (LIMIT - 3) + "1.0,a\n2.0,b\n", True),
+        ],
+        ids=["unquoted", "quoted-across-lines", "single-column", "single-column-quoted", "quoted-label", "at-the-limit"],
+    )
+    def test_without_pread(self, tmp_path, monkeypatch, text, decision):
+        # the blocks are read with lseek and read, which every platform has, and
+        # the descriptor's offset is put back
+        path = write_raw(tmp_path, "long.csv", text)
+
+        def outcome():
+            with open(path, "rb") as raw:
+                raw.readline()  # the buffered handle has read ahead of its position
+                fd, position = raw.fileno(), raw.tell()
+                offset = os.lseek(fd, 0, os.SEEK_CUR)
+                found = cli._may_hold_long_cell(path, fd)
+                assert (raw.tell(), os.lseek(fd, 0, os.SEEK_CUR)) == (position, offset)
+                assert raw.read() == Path(path).read_bytes()[position:]
+            try:
+                header, numbers, labels = _read_table(path, _clustered_header)
+                return found, (header, numbers.tolist(), labels)
+            except DataFormatError as exc:
+                return found, str(exc)
+
+        expected = outcome()
+        assert expected[0] is decision
+        monkeypatch.delattr(os, "pread", raising=False)
+        assert outcome() == expected
+
     def test_panel(self, tmp_path):
         path = write_raw(tmp_path, "long.csv", f"time,unit_1\n0.0,{self.LONG[2:]}\n1.0,0.5\n")
         with pytest.raises(DataFormatError) as info:
@@ -1029,6 +1078,35 @@ class TestLongNumericCell:
         fast = _read_table(path, cli._panel_header)
         reference = _read_reference(path, cli._panel_header)
         assert fast[0] == reference[0] and fast[1].tobytes() == reference[1].tobytes()
+
+
+class TestLabelMemory:
+    """A labelled file is read with no Python object kept per row."""
+
+    ROWS = 1 << 17
+
+    @pytest.mark.parametrize("labels", [4, 8192])
+    def test_clustered_arrays_peak(self, tmp_path, labels):
+        # numpy's (value, code) records take 16 bytes a row, the values' copy 8
+        # and the codes' copy 8: 32 bytes a row; a str and a list slot per row
+        # would add more than 50
+        rows = "".join(f"{i / 7!r},c{i % labels}\n" for i in range(self.ROWS))
+        path = write_raw(tmp_path, "m.csv", "value,cluster\n" + rows)
+        del rows
+        cli._clustered_arrays(path)  # anything imported or cached on a first read is not counted
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            values, codes = cli._clustered_arrays(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert values.size == codes.size == self.ROWS and codes.max() == labels - 1
+        assert peak < 48 * self.ROWS
 
 
 # ---------------------------------------------------------------------------
