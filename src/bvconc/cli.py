@@ -172,8 +172,8 @@ def _text(raw: BinaryIO) -> TextIO:
 _LONG_CELL_PROBE = 1 << 13
 
 
-def _may_hold_long_cell(path: str, source: bytes | int | None) -> bool:
-    """Whether ``path`` may hold a cell longer than ``csv.field_size_limit()``.
+def _may_hold_long_cell(raw: BinaryIO) -> bool:
+    """Whether the file open as ``raw`` may hold a cell longer than ``csv.field_size_limit()``.
 
     Such a cell, unquoted or quoted on one line, lies in a run of more bytes
     than the limit with no line feed; a number quoted across lines lies in one
@@ -181,56 +181,47 @@ def _may_hold_long_cell(path: str, source: bytes | int | None) -> bool:
     half the limit plus one bytes, so a block whose first
     ``_LONG_CELL_PROBE`` bytes hold a line feed and a comma is cleared; any
     other is read whole, and one with no comma and no quote counts only if
-    the file holds a quote.  The blocks are read from ``source``: the copy of
-    an input that is not a regular file, or the descriptor of the open file,
-    read with ``os.lseek`` and ``os.read`` (``os.pread`` is POSIX-only), the
-    descriptor's offset put back after each read, so that the handle's
-    position does not move (``None`` opens ``path``).  A memory map would add
-    the whole file to the resident set.
+    the file holds a quote.  The blocks are read through ``raw``, a binary
+    handle that can seek, and its position is put back.  A memory map would
+    add the whole file to the resident set.
     """
-    if source is None:
-        with open(path, "rb", buffering=0) as raw:
-            return _may_hold_long_cell(path, raw.fileno())
-    if isinstance(source, int):
-        size, offset = os.fstat(source).st_size, os.lseek(source, 0, os.SEEK_CUR)
+    position = raw.tell()
 
-        def read(start: int, length: int) -> bytes:
-            os.lseek(source, start, os.SEEK_SET)
-            try:
-                return os.read(source, length)
-            finally:
-                os.lseek(source, offset, os.SEEK_SET)
+    def read(start: int, length: int) -> bytes:
+        raw.seek(start)
+        return raw.read(length)
 
-    else:
-        size = len(source)
-        read = lambda start, length: source[start : start + length]
-    block = csv.field_size_limit() // 2 + 1
-    quoted = None
-    for start in range(0, size - block + 1, block):
-        head = read(start, _LONG_CELL_PROBE)
-        if b"\n" in head and b"," in head:
-            continue
-        chunk = read(start, block)
-        if b"\n" not in chunk:
-            return True
-        if b"," not in chunk and b'"' not in chunk:
-            if quoted is None:
-                quoted = any(b'"' in read(at, block) for at in range(0, size, block))
-            if quoted:
+    try:
+        size = raw.seek(0, io.SEEK_END)
+        block = csv.field_size_limit() // 2 + 1
+        quoted = None
+        for start in range(0, size - block + 1, block):
+            head = read(start, _LONG_CELL_PROBE)
+            if b"\n" in head and b"," in head:
+                continue
+            chunk = read(start, block)
+            if b"\n" not in chunk:
                 return True
-    return False
+            if b"," not in chunk and b'"' not in chunk:
+                if quoted is None:
+                    quoted = any(b'"' in read(at, block) for at in range(0, size, block))
+                if quoted:
+                    return True
+        return False
+    finally:
+        raw.seek(position)
 
 
 def _read_reference(
-    path: str, check_header: HeaderCheck, data: bytes | None = None, *, coded: bool = False
-) -> tuple[list[str], np.ndarray, list[str] | np.ndarray]:
+    path: str, check_header: HeaderCheck, data: bytes | None = None
+) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Read ``path`` row by row with ``csv.reader``; the reference the array reader must match.
 
     Returns the stripped header, the numeric cells as a 2-d float64 array
     parsed by ``float(cell.strip())``, and the stripped labels of the columns
     after them (``check_header`` returns how many leading columns are
-    numeric); with ``coded``, those labels numbered in order of first
-    appearance by ``empirical._label_codes``, as ``intp`` codes.  Raises on
+    numeric) numbered in order of first appearance by
+    ``empirical._label_codes``, as ``intp`` codes (none without them).  Raises on
     the first bad row or cell, in file order.  ``data``, when given, is the
     content of ``path`` already read, and is read instead;
     :func:`_read_table` always hands it over, so it never opens ``path``.
@@ -257,7 +248,7 @@ def _read_reference(
             if not label:
                 raise DataFormatError(f"{path}: row {row_no}, column {col}: empty cluster label")
             labels.append(label)
-    return header, np.array(numbers, dtype=np.float64), _label_codes(labels, len(labels)) if coded else labels
+    return header, np.array(numbers, dtype=np.float64), _label_codes(labels, len(labels))
 
 
 # names that numpy's loadtxt would decompress by suffix when given as a path
@@ -273,22 +264,20 @@ def _names_open_file(name: str, fd: int) -> bool:
 
 
 def _read_table(
-    path: str, check_header: HeaderCheck, data: bytes | None = None, *, coded: bool = False
-) -> tuple[list[str], np.ndarray, list[str] | np.ndarray]:
-    """The stripped header of ``path``, its numeric cells as a 2-d float64 array, and its labels.
+    path: str, check_header: HeaderCheck, data: bytes | None = None
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The stripped header of ``path``, its numeric cells as a 2-d float64 array, and its label codes.
 
-    With ``coded``, the labels come as :func:`_read_reference` gives them
-    with ``coded``: ``intp`` codes numbering the stripped labels in order of
-    first appearance.  The header is the first non-blank ``csv.reader``
+    The codes are those :func:`_read_reference` gives: ``intp`` codes
+    numbering the stripped labels in order of first appearance, none for a
+    file without labels.  The header is the first non-blank ``csv.reader``
     record; numpy's C reader parses the rest straight into float64.  When
     the file has a label column it reads a ``value`` float and a ``cluster``
     code per row: numpy hands each label cell, unquoted and not stripped, to
     a first-appearance dict, once per row in row order, and keeps only the
     code, so no str is kept per row.  The checks below run once per distinct
     label, and when some distinct label is padded, one array remaps the
-    codes to those of the stripped labels; without ``coded`` the label list
-    is rebuilt from the stripped distinct labels and the codes (only the
-    reader tests read that form).  Its float grammar is a
+    codes to those of the stripped labels.  Its float grammar is a
     subset of ``float(cell.strip())`` and correctly rounded, so every number
     it reads has the reference's bits.  A regular file reaches numpy as its
     absolute path, which numpy reads in blocks, skipping the physical lines
@@ -333,12 +322,12 @@ def _read_table(
         reader = csv.reader(fh)
         header = next(_records(path, reader), None)
         if header is None:  # an empty file, which the reference reports
-            return _read_reference(path, check_header, content(), coded=coded)
+            return _read_reference(path, check_header, content())
         header = [cell.strip() for cell in header]
         numeric = check_header(path, header)
         # loadtxt has no field size limit; the reference reports one
-        if _may_hold_long_cell(path, raw.fileno() if data is None else data):
-            return _read_reference(path, check_header, content(), coded=coded)
+        if _may_hold_long_cell(raw):
+            return _read_reference(path, check_header, content())
         name = os.fsdecode(path)
         if data is None and not name.endswith(_COMPRESSED_SUFFIXES):
             # absolute, so numpy never takes it for a URL; not normalized, so ".."
@@ -370,9 +359,9 @@ def _read_table(
         except (ValueError, OSError):  # UnicodeDecodeError included; OSError: the name is gone
             body = None
         if source is not fh and not _names_open_file(source, raw.fileno()):
-            return _read_table(path, check_header, content(), coded=coded)
+            return _read_table(path, check_header, content())
         if body is None or not body.size:
-            return _read_reference(path, check_header, content(), coded=coded)
+            return _read_reference(path, check_header, content())
         if labelled:
             numbers, codes = body["value"][:, np.newaxis], body["cluster"]
             # each distinct label is checked once: one over csv's field limit (loadtxt
@@ -380,20 +369,20 @@ def _read_table(
             distinct = list(index)
             limit = csv.field_size_limit()
             if any(len(label) > limit or "\n" in label or not label.strip() for label in distinct):
-                return _read_reference(path, check_header, content(), coded=coded)
+                return _read_reference(path, check_header, content())
             stripped = [label.strip() for label in distinct]
-            if coded and stripped != distinct:  # spellings that strip alike become one label
+            if stripped != distinct:  # spellings that strip alike become one label
                 codes = _label_codes(stripped, len(stripped))[codes]
         else:
-            numbers, codes, stripped = body, np.empty(0, np.intp), []
+            numbers, codes = body, np.empty(0, np.intp)
         if numbers.shape[1] != numeric or not np.isfinite(numbers).all():
-            return _read_reference(path, check_header, content(), coded=coded)
-    return header, numbers, codes if coded else [stripped[code] for code in codes.tolist()]
+            return _read_reference(path, check_header, content())
+    return header, numbers, codes
 
 
 def _clustered_arrays(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     """The values of a clustered CSV and its labels' first-appearance codes (``None`` if iid)."""
-    header, numbers, codes = _read_table(path, _clustered_header, coded=True)
+    header, numbers, codes = _read_table(path, _clustered_header)
     values = numbers[:, 0].copy()
     if len(header) == 1:
         return values, None

@@ -28,10 +28,10 @@ from bvconc.kstests import two_sample_clustered
 from bvconc.montecarlo import (
     _STREAM_GRID,
     _binomial_half,
+    _trial_blocks,
     conjecture_refutation_experiment,
     iid_coverage,
     sharpness_experiment,
-    trial_rng,
 )
 
 import oracles
@@ -93,9 +93,9 @@ def test_criterion_4_exact_enumeration():
         trials = 100_000
         bh = _binomial_half(2)
         stats = np.empty(trials)
-        for t in range(trials):
-            u = bh.invert(trial_rng(2026, _STREAM_GRID, t).random(2))
-            stats[t] = np.max(np.abs(u - 1.0)) / 4.0
+        for start, block in _trial_blocks(2026, _STREAM_GRID, 0, trials, 2):
+            u = bh.invert(block)
+            stats[start : start + len(block)] = np.max(np.abs(u - 1.0), axis=1) / 4.0
         for value, prob in atoms.items():
             p = float(prob)
             emp = float(np.mean(stats == value))

@@ -553,6 +553,24 @@ def ingest_outcome(ingest, path, read_table):
             return type(exc), str(exc)
 
 
+def assert_readers_agree(path, check_header):
+    """Both readers give the same header, float bits and ``intp`` codes, or the same fault."""
+    outcomes = []
+    for read in (_read_table, _read_reference):
+        try:
+            outcomes.append(read(path, check_header))
+        except DataFormatError as exc:
+            outcomes.append((type(exc), str(exc)))
+    fast, reference = outcomes
+    if reference[0] is DataFormatError:
+        assert fast == reference
+        return
+    (header, numbers, codes), (want_header, want_numbers, want_codes) = fast, reference
+    assert header == want_header
+    assert numbers.shape == want_numbers.shape and numbers.tobytes() == want_numbers.tobytes()
+    assert codes.dtype == want_codes.dtype == np.intp and codes.tobytes() == want_codes.tobytes()
+
+
 class TestReaderParity:
     """The array reader and the ``csv.reader`` reference agree cell for cell and fault for fault."""
 
@@ -567,6 +585,7 @@ class TestReaderParity:
     @given(data=st.data())
     def test_clustered_matches_reference(self, tmp_path, kind, data):
         path = write_raw(tmp_path, "p.csv", data.draw(csv_texts(kind)))
+        assert_readers_agree(path, _clustered_header)
         fast = ingest_outcome(_ingest_clustered, path, _read_table)
         reference = ingest_outcome(_ingest_clustered, path, _read_reference)
         if isinstance(reference[0], ClusteredSample):
@@ -582,6 +601,7 @@ class TestReaderParity:
     @given(text=csv_texts("panel"))
     def test_panel_matches_reference(self, tmp_path, text):
         path = write_raw(tmp_path, "t.csv", text)
+        assert_readers_agree(path, cli._panel_header)
         ingest = partial(ingest_trajectory_csv, k_lip=1e6)
         fast = ingest_outcome(ingest, path, _read_table)
         reference = ingest_outcome(ingest, path, _read_reference)
@@ -614,13 +634,13 @@ class TestReaderParity:
     @pytest.mark.parametrize("read", [_read_table, _read_reference], ids=["fast", "reference"])
     def test_separator_padding_is_stripped(self, tmp_path, read):
         path = write_raw(tmp_path, "s.csv", "value,cluster\n\x1c1.5,a\n2.5\x1f,a\n\x1d\x1e-3.5\x1e,\x1fb\x1c\n")
-        header, numbers, labels = read(path, _clustered_header)
-        assert (header, numbers.tolist(), labels) == (["value", "cluster"], [[1.5], [2.5], [-3.5]], ["a", "a", "b"])
+        header, numbers, codes = read(path, _clustered_header)
+        assert (header, numbers.tolist(), codes.tolist()) == (["value", "cluster"], [[1.5], [2.5], [-3.5]], [0, 0, 1])
 
     @pytest.mark.parametrize("read", [_read_table, _read_reference], ids=["fast", "reference"])
     def test_labels_that_strip_alike_are_one_cluster(self, tmp_path, read):
         path = write_raw(tmp_path, "m.csv", STRIP_MERGE)
-        assert read(path, _clustered_header)[2] == ["a", "b", "a", "b", "c", "c", "x,y"]
+        assert read(path, _clustered_header)[2].tolist() == [0, 1, 0, 1, 2, 2, 3]
         sample, _ = ingest_outcome(_ingest_clustered, path, read)
         assert sample.cluster_ids.tobytes() == np.array([0, 1, 0, 1, 2, 2, 3], dtype=np.intp).tobytes()
 
@@ -678,10 +698,10 @@ class TestReaderParity:
     def test_label_at_csv_field_limit_is_read(self, tmp_path):
         label = "x" * csv.field_size_limit()
         path = write_raw(tmp_path, "big.csv", f'value,cluster\n1.0,"{label}"\n2.0,b\n')
-        expected = (["value", "cluster"], [[1.0], [2.0]], [label, "b"])
+        expected = (["value", "cluster"], [[1.0], [2.0]], [0, 1])
         for read in (_read_table, _read_reference):
-            header, numbers, labels = read(path, _clustered_header)
-            assert (header, numbers.tolist(), labels) == expected
+            header, numbers, codes = read(path, _clustered_header)
+            assert (header, numbers.tolist(), codes.tolist()) == expected
 
 
 def write_matrix_inputs(directory: Path) -> None:
@@ -1009,7 +1029,8 @@ class TestLongNumericCell:
         # file and only the label length check after loadtxt finds the long label
         label = '"' + "a,\n" * 50_000 + 'z"'
         path = write_raw(tmp_path, "label.csv", f"value,cluster\n1.0,a\n2.0,{label}\n")
-        assert not cli._may_hold_long_cell(path, None)
+        with open(path, "rb") as raw:
+            assert not cli._may_hold_long_cell(raw)
         message = f"{path}: row 3: field larger than field limit ({self.LIMIT})"
         for read in (_read_table, _read_reference):
             with pytest.raises(DataFormatError) as info:
@@ -1030,29 +1051,18 @@ class TestLongNumericCell:
         ],
         ids=["unquoted", "quoted-across-lines", "single-column", "single-column-quoted", "quoted-label", "at-the-limit"],
     )
-    def test_without_pread(self, tmp_path, monkeypatch, text, decision):
-        # the blocks are read with lseek and read, which every platform has, and
-        # the descriptor's offset is put back
+    @pytest.mark.parametrize("kind", ["file", "bytes"])
+    def test_check_reads_through_the_handle(self, tmp_path, text, decision, kind):
+        # the open file or the in-memory copy of a pipe: the same decision, and the
+        # handle's position put back
         path = write_raw(tmp_path, "long.csv", text)
-
-        def outcome():
-            with open(path, "rb") as raw:
-                raw.readline()  # the buffered handle has read ahead of its position
-                fd, position = raw.fileno(), raw.tell()
-                offset = os.lseek(fd, 0, os.SEEK_CUR)
-                found = cli._may_hold_long_cell(path, fd)
-                assert (raw.tell(), os.lseek(fd, 0, os.SEEK_CUR)) == (position, offset)
-                assert raw.read() == Path(path).read_bytes()[position:]
-            try:
-                header, numbers, labels = _read_table(path, _clustered_header)
-                return found, (header, numbers.tolist(), labels)
-            except DataFormatError as exc:
-                return found, str(exc)
-
-        expected = outcome()
-        assert expected[0] is decision
-        monkeypatch.delattr(os, "pread", raising=False)
-        assert outcome() == expected
+        data = Path(path).read_bytes()
+        with open(path, "rb") if kind == "file" else io.BytesIO(data) as raw:
+            raw.readline()  # past the header; a buffered file has read ahead of its position
+            position = raw.tell()
+            assert cli._may_hold_long_cell(raw) is decision
+            assert raw.tell() == position
+            assert raw.read() == data[position:]
 
     def test_panel(self, tmp_path):
         path = write_raw(tmp_path, "long.csv", f"time,unit_1\n0.0,{self.LONG[2:]}\n1.0,0.5\n")
@@ -1063,10 +1073,10 @@ class TestLongNumericCell:
     def test_cell_at_the_limit_is_read(self, tmp_path):
         cell = " " * (self.LIMIT - 3) + "1.0"
         path = write_raw(tmp_path, "long.csv", f"value,cluster\n{cell},a\n2.0,b\n")
-        expected = (["value", "cluster"], [[1.0], [2.0]], ["a", "b"])
+        expected = (["value", "cluster"], [[1.0], [2.0]], [0, 1])
         for read in (_read_table, _read_reference):
-            header, numbers, labels = read(path, _clustered_header)
-            assert (header, numbers.tolist(), labels) == expected
+            header, numbers, codes = read(path, _clustered_header)
+            assert (header, numbers.tolist(), codes.tolist()) == expected
 
     def test_long_line_of_short_cells_is_read(self, tmp_path):
         units = 35_000  # about 140,000 characters a line
@@ -1737,12 +1747,12 @@ class TestPathRead:
         os.close(write_fd)
         try:
             with loadtxt_spy() as spy:
-                _, numbers, labels = _read_table(f"/dev/fd/{read_fd}", _clustered_header)
+                _, numbers, codes = _read_table(f"/dev/fd/{read_fd}", _clustered_header)
         finally:
             os.close(read_fd)
         (source,) = sources(spy)
         assert isinstance(source, io.TextIOBase)
-        assert (numbers.ravel().tolist(), labels) == ([1.0, 2.0, 3.0], ["a", "a", "b"])
+        assert (numbers.ravel().tolist(), codes.tolist()) == ([1.0, 2.0, 3.0], [0, 0, 1])
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_arrives_as_the_handle(self, tmp_path):
@@ -1751,7 +1761,7 @@ class TestPathRead:
         writer = feed(partial(open, path, "wb"), CLUSTERED.encode("utf-8"))
         try:
             with loadtxt_spy() as spy:
-                _, numbers, labels = _read_table(path, _clustered_header)
+                _, numbers, codes = _read_table(path, _clustered_header)
         finally:
             if writer.is_alive():  # let a writer still waiting to open, or to write, end
                 os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
@@ -1759,7 +1769,7 @@ class TestPathRead:
         assert not writer.is_alive()
         (source,) = sources(spy)
         assert isinstance(source, io.TextIOBase)
-        assert (numbers.ravel().tolist(), labels) == ([1.0, 2.0, 3.0], ["a", "a", "b"])
+        assert (numbers.ravel().tolist(), codes.tolist()) == ([1.0, 2.0, 3.0], [0, 0, 1])
 
     @pytest.mark.parametrize("suffix", [".gz", ".xz"])
     def test_plain_text_with_a_compressed_suffix(self, tmp_path, suffix):
@@ -1832,8 +1842,8 @@ class TestNameChangedUnderTheRead:
     """A name that no longer leads to the open file once numpy has read it: the handle's bytes are read."""
 
     def assert_read_from_the_handle(self, path, spy):
-        _, numbers, labels = _read_table(path, _clustered_header)
-        assert (numbers.ravel().tolist(), labels) == ([1.0, 2.0, 3.0], ["a", "a", "b"])
+        _, numbers, codes = _read_table(path, _clustered_header)
+        assert (numbers.ravel().tolist(), codes.tolist()) == ([1.0, 2.0, 3.0], [0, 0, 1])
         kinds = [isinstance(source, str) for source in sources(spy)]
         assert kinds == [True, False]  # the name once, then the in-memory copy
 
@@ -1884,15 +1894,16 @@ class TestFallbackReadsTheOpenFile:
             with pytest.raises(DataFormatError, match=r": row 3: expected 2 columns, got 3$"):
                 _read_table(path, _clustered_header)
 
-    def test_long_cell_check_reads_the_descriptor(self, tmp_path):
+    def test_long_cell_check_reads_the_open_handle(self, tmp_path):
         path = write_raw(tmp_path, "x.csv", CLUSTERED)
         long = write_raw(tmp_path, "y.csv", f"value,cluster\n{'1' * 140_000},a\n")
-        with open(path, "rb", buffering=0) as raw:
+        with open(path, "rb") as raw:
             raw.read(4)
             os.replace(long, path)
-            assert not cli._may_hold_long_cell(path, raw.fileno())
-            assert os.lseek(raw.fileno(), 0, os.SEEK_CUR) == 4  # pread moves no file position
-        assert cli._may_hold_long_cell(path, None)
+            assert not cli._may_hold_long_cell(raw)
+            assert raw.tell() == 4
+        with open(path, "rb") as raw:
+            assert cli._may_hold_long_cell(raw)
 
     def test_long_cell_check_renamed_over_during_the_read(self, tmp_path):
         path = write_raw(tmp_path, "x.csv", CLUSTERED)
@@ -1907,8 +1918,8 @@ class TestFallbackReadsTheOpenFile:
             return found[-1]
 
         with mock.patch.object(cli, "_may_hold_long_cell", side_effect=race_then_check):
-            _, numbers, labels = _read_table(path, _clustered_header)
+            _, numbers, codes = _read_table(path, _clustered_header)
         # the open file's blocks, not the long cell's; numpy then read the new file by
         # its name, so the table came from the handle's bytes, checked again
         assert found == [False, False]
-        assert (numbers.ravel().tolist(), labels) == ([1.0, 2.0, 3.0], ["a", "a", "b"])
+        assert (numbers.ravel().tolist(), codes.tolist()) == ([1.0, 2.0, 3.0], [0, 0, 1])

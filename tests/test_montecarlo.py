@@ -104,13 +104,11 @@ class TestBinomialGridSup:
 
 def binomial_grid_sup_trials(n, m, seed, trials):
     """Sample the grid statistic across many trials using the per-trial streams."""
-    from bvconc.montecarlo import _STREAM_GRID, _binomial_half
-
-    bh = _binomial_half(n)
+    bh = montecarlo._binomial_half(n)
     out = np.empty(trials)
-    for t in range(trials):
-        u = bh.invert(trial_rng(seed, _STREAM_GRID, t).random(m))
-        out[t] = np.max(np.abs(u - n / 2.0)) / (n * m)
+    for start, block in montecarlo._trial_blocks(seed, montecarlo._STREAM_GRID, 0, trials, m):
+        u = bh.invert(block)
+        out[start : start + len(block)] = np.max(np.abs(u - n / 2.0), axis=1) / (n * m)
     return out
 
 
