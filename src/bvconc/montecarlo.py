@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundParams, TailSide, _finite, _two_sided, tail_bound, threshold
+from .bounds import BoundParams, TailSide, _real, _two_sided, tail_bound, threshold
 from .coefficients import _POOLED_ECDF_D, _integer
 from .errors import DomainError
 
@@ -120,15 +120,6 @@ def _allocate(shape, what: str, dtype=float) -> np.ndarray:
         raise DomainError(f"{what} does not fit in memory") from None
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a float, checked as ``bounds`` checks every ``eps`` and ``alpha``.
-
-    A non-real, a string included, or an int too large for a float is a DomainError.
-    """
-    _finite(name, value)
-    return float(value)
-
-
 def _iterable(name: str, value) -> tuple:
     try:
         return tuple(value)
@@ -199,7 +190,7 @@ class SimConfig:
         if seed < 0 or seed > _MASK64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         object.__setattr__(self, "seed", seed)
-        grid = tuple(_real("eps", e) for e in _iterable("eps_grid", self.eps_grid))
+        grid = tuple(float(_real("eps", e)) for e in _iterable("eps_grid", self.eps_grid))
         object.__setattr__(self, "eps_grid", grid)
         if not all(map(math.isfinite, grid)):
             raise DomainError(f"eps grid must be finite, got {list(grid)}")
@@ -287,7 +278,7 @@ def conjecture_refutation_experiment(
     assert for every m.  The violation flag marks rows whose empirical
     frequency exceeds the naive bound — the refutation.
     """
-    eps = _real("eps", eps)
+    eps = float(_real("eps", eps))
     if not (0.0 < eps < 0.5):
         raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
     m_list = tuple(_integer("m", m) for m in _iterable("m_list", m_list))
@@ -399,7 +390,7 @@ def sharpness_experiment(
     against the exact probabilities; the ``min_le_k`` row reports the
     anchor event min_j U_j <= k itself.
     """
-    l_target = _real("l_target", l_target)
+    l_target = float(_real("l_target", l_target))
     if not (0.0 < l_target < 0.5):
         raise DomainError(f"l_target must lie in (0, 1/2), got {l_target}")
     config = SimConfig(n=n, m=1, trials=trials, seed=seed, eps_grid=())

@@ -32,7 +32,6 @@ from bvconc import cli
 from bvconc.cli import (
     _clustered_header,
     _ingest_clustered,
-    _read_reference,
     _read_table,
     ingest_clustered_csv,
     ingest_trajectory_csv,
@@ -43,6 +42,11 @@ from bvconc.errors import DataFormatError, LipschitzConsistencyError
 from bvconc.kstests import DEFAULT_ALPHAS
 
 CLUSTERED = "value,cluster\n1.0,a\n2.0,a\n3.0,b\n"
+
+
+def _read_reference(path, check_header):
+    """The reference reader on the bytes of ``path``."""
+    return cli._read_reference(path, check_header, Path(path).read_bytes())
 
 
 def write(tmp_path, name, text):
@@ -964,6 +968,11 @@ class TestSingleColumnIngest:
         assert ecdf(sample).values.tobytes() == ecdf(want).values.tobytes()
         assert not sample.values.flags.writeable and not sample.cluster_ids.flags.writeable
 
+    def test_clustered_arrays_give_empty_codes(self, tmp_path):
+        values, codes = cli._clustered_arrays(write(tmp_path, "v.csv", "value\n0.5\n0.25\n"))
+        assert values.tolist() == [0.5, 0.25]
+        assert codes.dtype == np.intp and codes.shape == (0,)
+
 
 class TestNonUtf8Input:
     """Bytes that are not UTF-8 are a DataFormatError naming the file, from either reader."""
@@ -1417,6 +1426,8 @@ PIPED_INPUTS = {
     "valid": "value,cluster\n" + "".join(f"{(i * 37) % 1000 / 1000!r},c{i % 50}\n" for i in range(8000)),
     "malformed-cell": "value,cluster\n1.0,a\nxyz,b\n",
     "long-cell": "value,cluster\n1.0,a\n1." + "0" * 140_000 + ",b\n",
+    "empty": "",
+    "header-only": "value,cluster\n",
 }
 WRITER_TIMEOUT = 30.0
 
@@ -1485,7 +1496,8 @@ class TestPipedInput:
         assert not writer.is_alive()
         assert got == want
         if name != "valid":
-            assert got[0] == 2 and got[2].startswith("error: <path>: row 3")
+            fault = {"empty": "empty file", "header-only": "no data rows"}.get(name, "row 3")
+            assert got[0] == 2 and got[2].startswith(f"error: <path>: {fault}")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize("name", list(PIPED_INPUTS))
@@ -1681,7 +1693,7 @@ def sources(spy):
 
 def assert_fast_matches_reference(path):
     """The array reader's sample from ``path`` has the reference's bits; returns its reference calls."""
-    with mock.patch.object(cli, "_read_reference", wraps=_read_reference) as spy:
+    with mock.patch.object(cli, "_read_reference", wraps=cli._read_reference) as spy:
         fast = ingest_outcome(_ingest_clustered, path, _read_table)
     (sample, notes), (expected, expected_notes) = fast, ingest_outcome(_ingest_clustered, path, _read_reference)
     assert sample.values.tobytes() == expected.values.tobytes()
@@ -1842,10 +1854,12 @@ class TestNameChangedUnderTheRead:
     """A name that no longer leads to the open file once numpy has read it: the handle's bytes are read."""
 
     def assert_read_from_the_handle(self, path, spy):
-        _, numbers, codes = _read_table(path, _clustered_header)
+        with mock.patch.object(cli, "_read_reference", wraps=cli._read_reference) as reference:
+            _, numbers, codes = _read_table(path, _clustered_header)
         assert (numbers.ravel().tolist(), codes.tolist()) == ([1.0, 2.0, 3.0], [0, 0, 1])
         kinds = [isinstance(source, str) for source in sources(spy)]
-        assert kinds == [True, False]  # the name once, then the in-memory copy
+        assert kinds == [True]  # numpy read the name once
+        assert reference.call_count == 1  # then the reference read the handle's bytes
 
     @pytest.mark.parametrize("sibling", [True, False], ids=["gz-sibling", "no-sibling"])
     def test_removed(self, tmp_path, sibling):
@@ -1920,6 +1934,6 @@ class TestFallbackReadsTheOpenFile:
         with mock.patch.object(cli, "_may_hold_long_cell", side_effect=race_then_check):
             _, numbers, codes = _read_table(path, _clustered_header)
         # the open file's blocks, not the long cell's; numpy then read the new file by
-        # its name, so the table came from the handle's bytes, checked again
-        assert found == [False, False]
+        # its name, so the reference read the table from the handle's bytes
+        assert found == [False]
         assert (numbers.ravel().tolist(), codes.tolist()) == ([1.0, 2.0, 3.0], [0, 0, 1])
