@@ -53,15 +53,21 @@ blocks, and anything else from the handle, line by line.  The reference reads
 every row with ``csv.reader`` and ``float(cell.strip())``; it runs only when
 the fast one cannot vouch for the whole file (a fault, or a name that no
 longer leads to the open file), on the open file's bytes from byte 0, and it
-either returns the same arrays or names the first fault.  The fast one
-numbers cluster labels while numpy parses them, so it keeps no str per row,
-only one ``intp`` code.  An input that is not a regular file (a pipe or a
-FIFO) is read into memory once, and both readers take that copy.
+either returns the same arrays or names the first fault.  The fast one keeps
+no str per row, only one ``intp`` code.  In a regular file whose labels are
+all shorter than 8 bytes, numpy keeps each label's raw bytes as an 8-byte
+key, and one sort numbers the keys; any other labelled file (a longer label,
+a pipe, a name with a compressed suffix) has numpy hand each label to a
+first-appearance dict, one Python call per row.  A labelled regular file of
+short labels that holds a NUL byte, or bytes that are not UTF-8, goes to the
+reference.  An input that is not a regular file (a pipe or a FIFO) is read
+into memory once, and both readers take that copy.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
 import io
@@ -169,8 +175,8 @@ def _text(raw: BinaryIO) -> TextIO:
     return io.TextIOWrapper(raw, encoding="utf-8", newline="")
 
 
-# bytes of each block that the long-cell check reads first; rows are rarely longer
-_LONG_CELL_PROBE = 1 << 13
+# bytes of a block that a check looks at first; rows are rarely longer
+_PROBE = 1 << 13
 
 
 def _may_hold_long_cell(raw: BinaryIO) -> bool:
@@ -180,7 +186,7 @@ def _may_hold_long_cell(raw: BinaryIO) -> bool:
     than the limit with no line feed; a number quoted across lines lies in one
     with no comma and no quote.  Either run covers a whole aligned block of
     half the limit plus one bytes, so a block whose first
-    ``_LONG_CELL_PROBE`` bytes hold a line feed and a comma is cleared; any
+    ``_PROBE`` bytes hold a line feed and a comma is cleared; any
     other is read whole, and one with no comma and no quote counts only if
     the file holds a quote.  The blocks are read through ``raw``, a binary
     handle that can seek, and its position is put back.  A memory map would
@@ -197,7 +203,7 @@ def _may_hold_long_cell(raw: BinaryIO) -> bool:
         block = csv.field_size_limit() // 2 + 1
         quoted = None
         for start in range(0, size - block + 1, block):
-            head = read(start, _LONG_CELL_PROBE)
+            head = read(start, _PROBE)
             if b"\n" in head and b"," in head:
                 continue
             chunk = read(start, block)
@@ -292,30 +298,140 @@ def _read_table(path: str, check_header: HeaderCheck) -> Table:
     return table
 
 
+# bytes read at a time by the UTF-8 pass over a file
+_SCAN_BLOCK = 1 << 16
+
+
+def _shows_long_label(raw: BinaryIO) -> bool:
+    """Whether a whole line in the first ``_PROBE`` bytes of the file open as ``raw`` ends in 8 or more bytes.
+
+    Its last field, a label unless the line is the header or ragged, is one
+    that ``S8`` may cut short.  ``raw`` is a binary handle that can seek,
+    and its position is put back.
+    """
+    position = raw.tell()
+    try:
+        raw.seek(0)
+        lines = raw.read(_PROBE).splitlines()[1:-1]  # the first and last may be cut
+    finally:
+        raw.seek(position)
+    return any(len(line.rpartition(b",")[2]) >= 8 for line in lines)
+
+
+def _is_utf8_without_nul(raw: BinaryIO) -> bool:
+    """Whether the file open as ``raw`` is UTF-8 text with no NUL byte, read in blocks from byte 0.
+
+    ``raw`` is a binary handle that can seek, and its position is put back.
+    """
+    position = raw.tell()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        raw.seek(0)
+        while block := raw.read(_SCAN_BLOCK):
+            if b"\0" in block:
+                return False
+            decoder.decode(block)
+        decoder.decode(b"", final=True)
+        return True
+    except UnicodeDecodeError:
+        return False
+    finally:
+        raw.seek(position)
+
+
+def _key_codes(cells: np.ndarray) -> tuple[np.ndarray, list[str]] | None:
+    """The first-appearance ``intp`` codes of ``S8`` label cells and the distinct labels, or ``None`` if one may be cut short.
+
+    Each cell holds the raw UTF-8 bytes of a label from a file with no NUL
+    byte, NUL-padded, so its little-endian ``uint64`` view is one key per
+    label.  One argsort orders the keys; the runs of equal sorted keys are
+    the distinct labels, the smallest row in each run
+    (``np.minimum.reduceat`` over the permutation) is where that label first
+    appears, and ranking the runs by it gives the codes.  They are written
+    over the cells, so no row array outlives the call.  Only the distinct
+    labels are decoded.  A key whose eighth byte is set holds a label of 8
+    or more bytes, which numpy may have cut short, so its file is numbered
+    otherwise, and the cells are left as they are.
+    """
+    keys = cells.view("<u8")
+    order = np.argsort(keys)
+    keys = keys[order]
+    if keys[-1] >= np.uint64(1 << 56):  # the largest key has its eighth byte set
+        return None
+    starts = np.empty(keys.size, bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    runs = np.flatnonzero(starts)
+    keys = keys[runs]
+    by_appearance = np.argsort(np.minimum.reduceat(order, runs))
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(runs.size)
+    codes = cells.view(np.intp)  # the cells were copied into the sorted keys
+    codes[order] = np.repeat(rank, np.diff(runs, append=order.size))
+    return codes, [label.decode("utf-8") for label in keys[by_appearance].view("S8").tolist()]
+
+
+def _loadtxt(source: str | TextIO, skiprows: int, dtype, encoding: str, converters=None) -> np.ndarray:
+    """The rows after the header, parsed by ``np.loadtxt`` in the dialect; a ``ValueError`` if there are none.
+
+    A structured ``dtype`` gives one record per row, ``np.float64`` a 2-d table.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        body = np.loadtxt(
+            source,
+            dtype=dtype,
+            converters=converters,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            skiprows=skiprows,
+            encoding=encoding,
+            ndmin=2 if dtype is np.float64 else 1,
+        )
+    if not body.size:
+        raise ValueError("no data rows")
+    return body
+
+
 def _read_array(path: str, check_header: HeaderCheck, fh: TextIO) -> Table | None:
     """:func:`_read_table`'s table read by numpy from ``fh``, or ``None`` where numpy cannot vouch for it.
 
     The header is the first non-blank ``csv.reader`` record of ``fh``;
     numpy's C reader parses the rest straight into float64.  When the file
-    has a label column it reads a ``value`` float and a ``cluster`` code per
-    row: numpy hands each label cell, unquoted and not stripped, to a
-    first-appearance dict, once per row in row order, and keeps only the
-    code, so no str is kept per row.  The checks below run once per distinct
-    label, and when some distinct label is padded, one array remaps the
-    codes to those of the stripped labels.  Its float grammar is a subset of
+    has a label column it reads a ``value`` float and a ``cluster`` label
+    per row, in one of two ways.  A regular file read from its path is
+    decoded as latin-1, so each label cell reaches numpy as its raw bytes,
+    which it keeps as ``S8``: numpy calls no Python code per row, and
+    :func:`_key_codes` numbers the 8-byte keys in order of first
+    appearance.  One pass first checks that the file is UTF-8 with no NUL
+    byte, which latin-1 and ``S8`` would not catch.  A file with a label of
+    8 or more bytes, which ``S8`` may cut short, is read as below instead:
+    with no key read or pass when such a label shows in the first lines,
+    and again after the key read when one shows among its distinct labels.
+    So is any other file (a pipe's in-memory copy or a name with a
+    compressed suffix): it is decoded as UTF-8, and numpy hands each label
+    cell, unquoted and not stripped, to a first-appearance dict, once per
+    row in row order, and keeps only the code.  Either way no str is kept
+    per row, the checks below run once per distinct label, and
+    when some distinct label is padded, one array remaps the codes to those
+    of the stripped labels.  Its float grammar is a subset of
     ``float(cell.strip())`` and correctly rounded, so every number it reads
-    has the reference's bits.  A regular file reaches numpy as its absolute
-    path, which numpy reads in blocks, skipping the physical lines the header
-    took; a name numpy would decompress by its suffix, and an in-memory copy,
-    reach it as ``fh``, one line at a time.  It returns ``None`` for anything
-    it cannot read whole (an empty file, a ragged row, a cell outside its
-    grammar, a non-finite number, an empty label, a cell over
-    ``csv.field_size_limit()``, no data rows, text that is not UTF-8); for a
-    file that :func:`_may_hold_long_cell`, unparsed; for a file with a label
-    that holds a line break, since numpy opens a path with universal
-    newlines, which may have turned a CR LF in a quoted label into a LF; and
-    for a regular file whose name no longer leads to ``fh``'s file once numpy
-    has read it (removed, or renamed over, so numpy read another file or a
+    has the reference's bits; in a UTF-8 file, a numeric cell that holds a
+    non-ASCII character fails it under either decoding.  A regular file
+    reaches numpy as its absolute path, which numpy reads in blocks,
+    skipping the physical lines the header took; a name numpy would
+    decompress by its suffix, and an in-memory copy, reach it as ``fh``,
+    one line at a time.  It returns ``None`` for anything it cannot read
+    whole (an empty file, a ragged row, a cell outside its grammar, a
+    non-finite number, an empty label, a cell over
+    ``csv.field_size_limit()``, no data rows, text that is not UTF-8, a NUL
+    byte in a file to be read as keys); for a file that
+    :func:`_may_hold_long_cell`, unparsed; for a file with a label that
+    holds a line break, since numpy opens a path with universal newlines,
+    which may have turned a CR LF in a quoted label into a LF; and for a
+    regular file whose name no longer leads to ``fh``'s file once numpy has
+    read it (removed, or renamed over, so numpy read another file or a
     sibling it decompressed).
     """
     raw = fh.buffer
@@ -336,42 +452,38 @@ def _read_array(path: str, check_header: HeaderCheck, fh: TextIO) -> Table | Non
         source = name if os.path.isabs(name) else os.path.join(os.getcwd(), name)
         skiprows = reader.line_num
     labelled = numeric < len(header)  # the one labelled layout is value,cluster
-    if labelled:  # numpy hands each label cell to the dict once, in row order, and keeps its code
-        index = _label_index()
-        dtype, converters = [("value", "f8"), ("cluster", np.intp)], {1: index.__getitem__}
-    else:
-        dtype, converters = np.float64, None
+    # a long label in the first lines: the converter read, with no key read first
+    keyed = labelled and source is not fh and not _shows_long_label(raw)
+    # latin-1 would take bytes the reference rejects, and S8 would drop a NUL
+    if keyed and not _is_utf8_without_nul(raw):
+        return None
+    numbered = None  # the codes, and the distinct labels in order of first appearance
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            body = np.loadtxt(
-                source,
-                dtype=dtype,
-                converters=converters,
-                delimiter=",",
-                quotechar='"',
-                comments=None,
-                skiprows=skiprows,
-                encoding="utf-8",
-                ndmin=1 if labelled else 2,
-            )
+        if not labelled:
+            body, numbered = _loadtxt(source, skiprows, np.float64, "utf-8"), (np.empty(0, np.intp), [])
+        elif keyed:
+            dtype = [("value", "f8"), ("cluster", "S8")]
+            body = _loadtxt(source, skiprows, dtype, "latin-1")
+            numbered = _key_codes(body["cluster"])
+        if numbered is None:  # labels numbered by the converter, one call per row
+            index = _label_index()
+            dtype = [("value", "f8"), ("cluster", np.intp)]
+            body = _loadtxt(source, skiprows, dtype, "utf-8", {1: index.__getitem__})
+            numbered = body["cluster"], list(index)
     except (ValueError, OSError):  # UnicodeDecodeError included; OSError: the name is gone
         return None
-    if not body.size or (source is not fh and not _names_open_file(source, raw.fileno())):
+    if source is not fh and not _names_open_file(source, raw.fileno()):
         return None
-    if labelled:
-        numbers, codes = body["value"][:, np.newaxis], body["cluster"]
-        # each distinct label is checked once: one over csv's field limit (loadtxt
-        # has none), an empty one, or one with a line break goes to the reference
-        distinct = list(index)
-        limit = csv.field_size_limit()
-        if any(len(label) > limit or "\n" in label or not label.strip() for label in distinct):
-            return None
-        stripped = [label.strip() for label in distinct]
-        if stripped != distinct:  # spellings that strip alike become one label
-            codes = _label_codes(stripped, len(stripped))[codes]
-    else:
-        numbers, codes = body, np.empty(0, np.intp)
+    codes, labels = numbered
+    # each distinct label is checked once: one over csv's field limit (loadtxt
+    # has none), an empty one, or one with a line break goes to the reference
+    limit = csv.field_size_limit()
+    if any(len(label) > limit or "\n" in label or not label.strip() for label in labels):
+        return None
+    stripped = [label.strip() for label in labels]
+    if stripped != labels:  # spellings that strip alike become one label
+        codes = _label_codes(stripped, len(stripped))[codes]
+    numbers = body["value"][:, np.newaxis] if labelled else body
     if numbers.shape[1] != numeric or not np.isfinite(numbers).all():
         return None
     return header, numbers, codes

@@ -1128,6 +1128,127 @@ class TestLabelMemory:
         assert peak < 48 * self.ROWS
 
 
+# rows of one-byte labels that put the rows after them past the UTF-8 pass's first block
+FILLER = "".join(f"{i / 7!r},f{i % 5}\n" for i in range(4000)).encode()
+assert len(FILLER) > cli._SCAN_BLOCK
+
+KEYED = [("value", "f8"), ("cluster", "S8")]
+
+
+def labelled_file(tmp_path, labels, late):
+    """A ``value,cluster`` file with one row per label in ``labels`` (bytes), after ``FILLER`` if ``late``."""
+    rows = b"".join(b"%d.5,%s\n" % (i, label) for i, label in enumerate(labels))
+    path = tmp_path / "k.csv"
+    path.write_bytes(b"value,cluster\n" + (FILLER if late else b"") + rows)
+    return str(path)
+
+
+def reads_taken(path):
+    """The label dtype of each ``np.loadtxt`` call that reading ``path`` makes: S8, intp, or none at all."""
+    with loadtxt_spy() as spy, suppress(DataFormatError):
+        _read_table(path, _clustered_header)
+    return [np.dtype(call.kwargs["dtype"])["cluster"] for call in spy.call_args_list]
+
+
+class TestByteKeyParity:
+    """Labels read as 8-byte keys: the reference's table or fault for cells the keys cannot tell apart alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("late", [False, True], ids=["first-lines", "past-the-first-block"])
+    @pytest.mark.parametrize(
+        "labels, clusters",
+        [
+            ([b"abcdefg", b"abcdefh", b"abcdefg"], 2),
+            ([b"abcdefgh", b"abcdefgi", b"abcdefgh"], 2),
+            ([b"abcdefgh1", b"abcdefgh2", b"abcdefgh1"], 2),  # one key once cut to 8 bytes
+            ([b"ab\0", b"ab", b"ab\0", b"ab"], 2),  # one key once S8 drops the NUL
+            ([b"\xc3\xa9", b"\xd9\xa1", b"e", b"\xc3\xa9", b" \xd9\xa1 "], 3),  # "é", "١", "e", "é", " ١ "
+        ],
+        ids=["7-bytes", "8-bytes", "9-bytes", "nul", "utf-8"],
+    )
+    def test_labels(self, tmp_path, labels, clusters, late):
+        path = labelled_file(tmp_path, labels, late)
+        assert_readers_agree(path, _clustered_header)
+        if b"\0" in b"".join(labels) and sys.version_info < (3, 11):
+            return  # csv.reader rejects a NUL byte before Python 3.11, and so do both readers
+        codes = _read_table(path, _clustered_header)[2][-len(labels):]
+        assert len(set(codes.tolist())) == clusters
+
+    @pytest.mark.parametrize("late", [False, True], ids=["first-lines", "past-the-first-block"])
+    def test_lone_byte_by_a_number(self, tmp_path, late):
+        # latin-1 reads 0xa0 as a no-break space, which numpy strips from a number
+        path = labelled_file(tmp_path, [b"a", b"b"], late)
+        Path(path).write_bytes(Path(path).read_bytes().replace(b"0.5,a", b"0.5\xa0,a"))
+        assert_readers_agree(path, _clustered_header)
+        with pytest.raises(DataFormatError) as info:
+            _read_table(path, _clustered_header)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte (byte 0xa0)"
+
+    def test_character_across_the_first_block_boundary(self, tmp_path):
+        # "é" is two bytes; its first is the last byte of the UTF-8 pass's first block
+        head = b"value,cluster\n"
+        rows, pad = divmod(cli._SCAN_BLOCK - 1 - len(head) - len(b"2.0,"), len(b"1.0,a\n"))
+        data = head + b"1.0,a\n" * rows + b"2.0" + b" " * pad + b",\xc3\xa9\n3.0,a\n"
+        assert data[cli._SCAN_BLOCK - 1 : cli._SCAN_BLOCK + 1] == "é".encode()
+        path = tmp_path / "k.csv"
+        path.write_bytes(data)
+        assert_readers_agree(str(path), _clustered_header)
+        assert reads_taken(str(path)) == [np.dtype("S8")]
+
+    @pytest.mark.parametrize(
+        "labels, late, reads",
+        [
+            ([b"a", b"b"], False, ["S8"]),
+            ([b"a", b"b"], True, ["S8"]),
+            ([b"abcdefgh", b"a"], False, [np.intp]),  # seen in the first lines: no key read first
+            ([b"abcdefgh", b"a"], True, ["S8", np.intp]),  # seen among the keys: read again
+            ([b"a", b"a\0"], True, []),  # a NUL byte: the reference reads it
+            ([b"a", b"\xe9"], True, []),  # not UTF-8: the reference reports it
+        ],
+        ids=["short", "short-late", "long", "long-late", "nul", "not-utf-8"],
+    )
+    def test_read_taken(self, tmp_path, labels, late, reads):
+        assert reads_taken(labelled_file(tmp_path, labels, late)) == [np.dtype(read) for read in reads]
+
+
+class TestNumpyByteKeys:
+    """The numpy behaviour that the byte-key label read rests on."""
+
+    def read(self, path):
+        return cli._loadtxt(path, 1, KEYED, "latin-1")["cluster"]
+
+    def test_s8_cells_keep_each_byte(self, tmp_path):
+        cells = [bytes([b]) * 3 for b in range(1, 256) if b not in b'\n\r,"']
+        path = labelled_file(tmp_path, cells, late=False)
+        assert self.read(path).tolist() == cells
+
+    def test_long_cell_is_cut_to_8_bytes(self, tmp_path):
+        path = labelled_file(tmp_path, [b"abcdefghijkl", "éééé١".encode()], late=False)
+        assert self.read(path).tolist() == [b"abcdefgh", "éééé".encode()]
+
+    def test_trailing_nuls_are_dropped(self, tmp_path):
+        path = labelled_file(tmp_path, [b"ab\0", b"ab", b"a\0b"], late=False)
+        cells = self.read(path)
+        assert cells.tolist() == [b"ab", b"ab", b"a\0b"]
+        assert cells[0] == cells[1]
+
+    def test_s8_views_as_little_endian_uint64(self):
+        labels = [b"ab", b"abcdefgh", b"", "é".encode()]
+        want = [int.from_bytes(label, "little") for label in labels]
+        assert np.array(labels, "S8").view("<u8").tolist() == want
+        records = np.zeros(len(labels), KEYED)
+        records["cluster"] = labels
+        assert records["cluster"].view("<u8").tolist() == want  # the strided field, too
+        records["cluster"].view(np.intp)[:] = [3, 2, 1, 0]  # codes written over the cells
+        assert records["cluster"].view(np.intp).tolist() == [3, 2, 1, 0]
+        assert records["value"].tolist() == [0.0] * len(labels)
+
+
 # ---------------------------------------------------------------------------
 # Two-file commands read --g in a forked child while --f is read here
 # ---------------------------------------------------------------------------
@@ -1937,3 +2058,24 @@ class TestFallbackReadsTheOpenFile:
         # its name, so the reference read the table from the handle's bytes
         assert found == [False]
         assert (numbers.ravel().tolist(), codes.tolist()) == ([1.0, 2.0, 3.0], [0, 0, 1])
+
+    @pytest.mark.parametrize("race", ["renamed-over", "removed"])
+    def test_ragged_row_raced_as_the_array_read_gives_up(self, tmp_path, race):
+        # the race runs after numpy's read and before any byte of the fallback is read
+        path = write_raw(tmp_path, "x.csv", RAGGED)
+        other = write_raw(tmp_path, "y.csv", OTHER_ROWS)
+        read_array = cli._read_array
+
+        def give_up_then_race(*args):
+            table = read_array(*args)
+            assert table is None
+            if race == "removed":
+                os.remove(path)
+            else:
+                os.replace(other, path)
+            return table
+
+        with mock.patch.object(cli, "_read_array", side_effect=give_up_then_race) as spy:
+            with pytest.raises(DataFormatError, match=r": row 3: expected 2 columns, got 3$"):
+                _read_table(path, _clustered_header)
+        assert spy.call_count == 1
