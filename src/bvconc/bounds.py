@@ -21,15 +21,18 @@ EF.  With D the sup statistic over the parameter set:
 ``threshold`` maps a sup statistic to that eps, ``tail_bound`` maps eps to
 the bound, and ``critical_statistic`` inverts the pair at a level alpha.
 
-Two-sample tests of a common mean function use the product form
+Two-sample tests of a common mean function use one product bound over the
+two samples' coefficient pairs, a ``BoundParams`` each:
 
-    p(eps) = 1 - prod_side max(0, 1 - inner_tail(eps/2))
+    p(eps) = 1 - prod_sample max(0, 1 - inner_tail(eps/2))
 
 obtained by splitting the deviation between the two samples and multiplying
-the independent per-sample guarantees (``two_sample_tail_bound``, inverted
-by ``two_sample_critical``).  One-sided two-sample tests subtract the full
-one-sided centering sqrt(ln v) + R*(v) of each sample's effective size v,
-in both directions.
+the independent per-sample guarantees.  Each factor reads only c and c*d:
+two-sided, sqrt(c) and L(c*d); one-sided, sqrt(c) and the full centering
+S(c*d), subtracted in both directions.  ``_product_tail_bound`` computes it
+and ``_bisect`` inverts it at a level alpha.  ``two_sample_tail_bound`` and
+``two_sample_critical`` are its d = 1 case, where c is each sample's
+effective size.
 
 ``entropy_exact_expfamily`` computes the tighter constant obtained by
 minimizing the underlying entropy objective over the exponential family
@@ -237,59 +240,94 @@ def critical_statistic(params: BoundParams, side: TailSide, alpha: float) -> flo
     return (math.sqrt(math.log(1.0 / alpha) / 2.0) + one_sided_shift(x)) / root_c
 
 
+def _factor(params: BoundParams, two_sided: bool, eps: float) -> float:
+    """One sample's guarantee in the product bound: its deviation stays within eps/2.
+
+    Two-sided 1 - 2*exp(-(c/2)*(eps/L(c*d))^2), floored at 0; one-sided
+    1 - exp(-2*max(0, sqrt(c)*eps/2 - S(c*d))^2).
+    """
+    if two_sided:
+        ratio = eps / denominator(params.product)
+        try:
+            square = ratio**2
+        except OverflowError:  # the square is past the float range: exp(-inf) = 0
+            return 1.0
+        return max(0.0, 1.0 - 2.0 * math.exp(-0.5 * params.c * square))
+    shifted = max(0.0, math.sqrt(params.c) * eps / 2.0 - one_sided_shift(params.product))
+    return 1.0 - math.exp(-2.0 * shifted * shifted)
+
+
+def _product_tail_bound(params: tuple[BoundParams, BoundParams], side: TailSide, eps: float) -> float:
+    """Probability bound for a sup deviation > ``eps`` between two independent samples.
+
+    One minus the product of the two samples' :func:`_factor` at ``eps``,
+    always within [0, 1].  ``eps`` is used as it is given.
+    """
+    two_sided = _two_sided(side)
+    return 1.0 - _factor(params[0], two_sided, eps) * _factor(params[1], two_sided, eps)
+
+
+def _bisect(bound, alpha: float) -> float:
+    """Smallest eps with ``bound(eps) <= alpha``, for a continuous ``bound`` nonincreasing in eps.
+
+    Bracket by doubling from 1, then bisect to a relative width of 1e-14 and
+    return the midpoint.
+    """
+    hi = 1.0
+    while bound(hi) > alpha:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > 1e-14 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if bound(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _size_pair(nu, xi, side: TailSide, eps) -> tuple[tuple[BoundParams, BoundParams], float]:
+    """The d = 1 pair ``(BoundParams(nu, 1), BoundParams(xi, 1))`` and ``eps``, checked.
+
+    The checks run in the order the two-sample functions report them: nu and
+    xi as reals, then their vacuity, eps, side, and last a nan or inf size.
+    """
+    nu, xi = _real("nu", nu), _real("xi", xi)
+    if nu <= 1.0 or xi <= 1.0:
+        raise VacuousBoundError(f"both effective sample sizes must exceed 1, got {nu} and {xi}")
+    eps = _real("eps", eps)
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise DomainError(f"eps must be a finite real >= 0, got {eps}")
+    _two_sided(side)
+    return (BoundParams(_require_gt1(nu), 1.0), BoundParams(_require_gt1(xi), 1.0)), eps
+
+
 def two_sample_tail_bound(nu: float, xi: float, side: TailSide, eps: float) -> float:
     """Probability bound for a sup deviation > eps between two independent samples.
 
     ``nu`` and ``xi`` are the effective sample sizes of the two samples (both
-    must exceed 1).  Two-sided, each sample contributes a floored factor
+    must exceed 1): the product bound of the pair (nu, 1), (xi, 1).
+    Two-sided, each sample contributes a floored factor
     1 - 2*exp(-(v/2)*(eps/L(v))^2); one-sided, each contributes
     1 - exp(-2*max(0, sqrt(v)*eps/2 - S(v))^2).  The bound is one minus the
     product, always within [0, 1].
     """
-    # a non-real is rejected here; nan and inf fail the bound argument check
-    nu, xi = _real("nu", nu), _real("xi", xi)
-    if nu <= 1.0 or xi <= 1.0:
-        raise VacuousBoundError(
-            f"both effective sample sizes must exceed 1, got {nu} and {xi}"
-        )
-    eps = _real("eps", eps)
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"eps must be a finite real >= 0, got {eps}")
-    if _two_sided(side):
-
-        def factor(v: float) -> float:
-            inner = 2.0 * math.exp(-0.5 * v * (eps / denominator(v)) ** 2)
-            return max(0.0, 1.0 - inner)
-
-    else:
-
-        def factor(v: float) -> float:
-            shifted = max(0.0, math.sqrt(v) * eps / 2.0 - one_sided_shift(v))
-            return 1.0 - math.exp(-2.0 * shifted * shifted)
-
-    return 1.0 - factor(nu) * factor(xi)
+    params, eps = _size_pair(nu, xi, side, eps)
+    return _product_tail_bound(params, side, eps)
 
 
 def two_sample_critical(nu: float, xi: float, side: TailSide, alpha: float) -> float:
     """Smallest eps with ``two_sample_tail_bound(nu, xi, side, eps) <= alpha``.
 
-    The bound is continuous and nonincreasing in eps: bracket by doubling from
-    1, then bisect to a relative width of 1e-14 and return the midpoint.
+    The bound is continuous and nonincreasing in eps, so :func:`_bisect`
+    finds it: bracket by doubling from 1, then bisect to a relative width of
+    1e-14 and return the midpoint.
     """
     alpha = _real("alpha", alpha)
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
-    hi = 1.0
-    while two_sample_tail_bound(nu, xi, side, hi) > alpha:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > 1e-14 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if two_sample_tail_bound(nu, xi, side, mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    params, _ = _size_pair(nu, xi, side, 1.0)
+    return _bisect(lambda eps: _product_tail_bound(params, side, eps), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ from typing import Callable, Mapping, Sequence, Union
 from .bounds import (
     BoundParams,
     TailSide,
+    _bisect,
     _finite,
+    _product_tail_bound,
     critical_statistic,
     tail_bound,
     tail_bound_raw,
     threshold,
-    two_sample_critical,
     two_sample_tail_bound,
 )
 from .coefficients import (
@@ -117,13 +118,14 @@ def _single_pair_outcome(
     )
 
 
-def _effective_size(sample: ClusteredSample, label: str) -> float:
+def _pooled_params(sample: ClusteredSample, label: str) -> BoundParams:
+    """The coefficient pair of ``sample``'s pooled ECDF: its effective sample size nu, and d = 1."""
     nu = sample.cluster_spec().nu_n
     if nu <= 1.0:
         raise VacuousBoundError(
             f"effective sample size of {label} is {nu:g} <= 1; the bound is vacuous"
         )
-    return nu
+    return BoundParams(c=nu, d=_POOLED_ECDF_D)
 
 def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     alphas = tuple(alphas)
@@ -148,8 +150,7 @@ def one_sample_clustered(
     [0, 1]-valued function, 1.
     """
     alphas = _validate_alphas(alphas)
-    nu = _effective_size(sample, "sample")
-    params = BoundParams(c=nu, d=_POOLED_ECDF_D)
+    params = _pooled_params(sample, "sample")
     stat = sup_distance_reference(ecdf(sample), ref_cdf, side)
     return _single_pair_outcome(params, side, stat, alphas, notes=tuple(notes))
 
@@ -165,21 +166,23 @@ def two_sample_clustered(
 
     Each sample gets the coefficient pair of :func:`one_sample_clustered`:
     its effective sample size and the monotone [0, 1] case's d of 1.  The
-    product bound of :func:`~bvconc.bounds.two_sample_tail_bound` lies in
-    [0, 1] already, so it is reported as both ``p_upper`` and ``p_upper_raw``.
+    returned ``params`` are that pair, and both ``p_upper`` and every
+    ``critical_at`` come from it: the product bound of the pair (for d = 1,
+    :func:`~bvconc.bounds.two_sample_tail_bound`) and its bisection.  The
+    product bound lies in [0, 1] already, so it is reported as both
+    ``p_upper`` and ``p_upper_raw``.
     """
     alphas = _validate_alphas(alphas)
-    nu = _effective_size(sample_f, "first sample")
-    xi = _effective_size(sample_g, "second sample")
+    params = (_pooled_params(sample_f, "first sample"), _pooled_params(sample_g, "second sample"))
     stat = _sample_distance(sample_f, sample_g, side)
-    p_upper = two_sample_tail_bound(nu, xi, side, stat)
+    p_upper = _product_tail_bound(params, side, stat)
     return KsOutcome(
         statistic=stat,
         side=side,
-        params=(BoundParams(c=nu, d=_POOLED_ECDF_D), BoundParams(c=xi, d=_POOLED_ECDF_D)),
+        params=params,
         p_upper=p_upper,
         p_upper_raw=p_upper,
-        critical_at={a: two_sample_critical(nu, xi, side, a) for a in alphas},
+        critical_at={a: _bisect(lambda eps: _product_tail_bound(params, side, eps), a) for a in alphas},
         notes=tuple(notes),
     )
 

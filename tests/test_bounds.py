@@ -2,8 +2,10 @@
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -494,3 +496,134 @@ class TestIntTooLargeForAFloat:
 
     def test_largest_float_int_still_passes(self):
         assert BoundParams(int(np.finfo(float).max), 1).c == int(np.finfo(float).max)
+
+
+class TestTwoSampleCheckOrder:
+    """Each two-sample function reports the first failing check, in a fixed order.
+
+    ``two_sample_tail_bound``: nu and xi as reals, their vacuity, eps, side,
+    then a nan or inf size (nu before xi).  ``two_sample_critical`` checks
+    alpha first, then follows the same order.
+    """
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: two_sample_tail_bound("40", 0.5, "plus", -0.5), DomainError, "nu must be a real number, got str"),
+            (lambda: two_sample_tail_bound(0.5, "30", "plus", -0.5), DomainError, "xi must be a real number, got str"),
+            (
+                lambda: two_sample_tail_bound(0.5, math.nan, "plus", -0.5),
+                VacuousBoundError,
+                "both effective sample sizes must exceed 1, got 0.5 and nan",
+            ),
+            (
+                lambda: two_sample_tail_bound(math.nan, 30, TailSide.TWO_SIDED, -0.5),
+                DomainError,
+                "eps must be a finite real >= 0, got -0.5",
+            ),
+            (
+                lambda: two_sample_tail_bound(math.nan, 30, "plus", math.inf),
+                DomainError,
+                "eps must be a finite real >= 0, got inf",
+            ),
+            (lambda: two_sample_tail_bound(math.nan, 30, "plus", 0.5), DomainError, "side must be a TailSide, got str"),
+            (
+                lambda: two_sample_tail_bound(math.inf, math.nan, TailSide.PLUS, 0.5),
+                DomainError,
+                "bound argument must be a finite real > 1, got inf",
+            ),
+            (
+                lambda: two_sample_critical("40", 0.5, "plus", 1.5),
+                DomainError,
+                "alpha must lie in the open interval (0, 1), got 1.5",
+            ),
+            (lambda: two_sample_critical("40", 0.5, "plus", 0.05), DomainError, "nu must be a real number, got str"),
+            (
+                lambda: two_sample_critical(0.5, math.nan, "plus", 0.05),
+                VacuousBoundError,
+                "both effective sample sizes must exceed 1, got 0.5 and nan",
+            ),
+            (lambda: two_sample_critical(math.nan, 30, "plus", 0.05), DomainError, "side must be a TailSide, got str"),
+            (
+                lambda: two_sample_critical(30, math.inf, TailSide.MINUS, 0.05),
+                DomainError,
+                "bound argument must be a finite real > 1, got inf",
+            ),
+        ],
+    )
+    def test_first_failing_check_is_reported(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+            call()
+        if error is DomainError:
+            assert not isinstance(caught.value, VacuousBoundError)
+
+
+def factor_closures_tail_bound(nu, xi, side, eps):
+    # reference: the two ``factor(v)`` closures of the d = 1 product bound, verbatim
+    if side is TailSide.TWO_SIDED:
+
+        def factor(v: float) -> float:
+            inner = 2.0 * math.exp(-0.5 * v * (eps / denominator(v)) ** 2)
+            return max(0.0, 1.0 - inner)
+
+    else:
+
+        def factor(v: float) -> float:
+            shifted = max(0.0, math.sqrt(v) * eps / 2.0 - one_sided_shift(v))
+            return 1.0 - math.exp(-2.0 * shifted * shifted)
+
+    return 1.0 - factor(nu) * factor(xi)
+
+
+class TestProductBound:
+    """The two-sample functions are the d = 1 case of one product bound over two ``BoundParams``."""
+
+    SIZES = st.floats(min_value=1.0, max_value=1e12, exclude_min=True)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        nu=SIZES,
+        xi=SIZES,
+        side=st.sampled_from(list(TailSide)),
+        eps=st.floats(min_value=0.0, max_value=1e150) | st.floats(min_value=0.0, max_value=8.0),
+    )
+    def test_same_bits_as_the_factor_closures(self, nu, xi, side, eps):
+        expected = factor_closures_tail_bound(nu, xi, side, eps).hex()
+        assert two_sample_tail_bound(nu, xi, side, eps).hex() == expected
+        pair = (BoundParams(nu, 1.0), BoundParams(xi, 1.0))
+        assert bounds._product_tail_bound(pair, side, eps).hex() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(nu=SIZES, xi=SIZES, side=st.sampled_from(list(TailSide)), alpha=st.floats(1e-12, 0.99))
+    def test_critical_value_is_the_bisection_of_the_product_bound(self, nu, xi, side, alpha):
+        pair = (BoundParams(nu, 1.0), BoundParams(xi, 1.0))
+        expected = bounds._bisect(partial(bounds._product_tail_bound, pair, side), alpha)
+        assert two_sample_critical(nu, xi, side, alpha).hex() == expected.hex()
+
+    @pytest.mark.parametrize("eps", [1e200, sys.float_info.max])
+    @pytest.mark.parametrize("side", list(TailSide))
+    def test_deviation_past_the_float_range_has_bound_zero(self, side, eps):
+        # two-sided, (eps / L) ** 2 overflows; exp(-inf) = 0 makes each factor 1
+        assert two_sample_tail_bound(40.0, 30.0, side, eps) == 0.0
+        for pair in [(BoundParams(40.0, 1.0), BoundParams(30.0, 1.0)), (BoundParams(40.0, 2.5), BoundParams(3.0, 7.0))]:
+            assert bounds._product_tail_bound(pair, side, eps) == 0.0
+        assert tail_bound(BoundParams(40.0, 1.0), side, eps) == 0.0
+        # no factor's overflow comes before the other sample's nan check
+        with pytest.raises(DomainError, match="^bound argument must be a finite real > 1, got nan$"):
+            two_sample_tail_bound(40.0, math.nan, side, eps)
+
+    @pytest.mark.parametrize("side", list(TailSide))
+    def test_factor_reads_c_and_the_product(self, side):
+        # a pair with d != 1 is the d = 1 pair's bound with L or S taken at c*d instead of c
+        pair = (BoundParams(40.0, 2.5), BoundParams(30.0, 4.0))
+        eps = 1.7
+        if side.is_two_sided:
+            f, g = (
+                max(0.0, 1.0 - 2.0 * math.exp(-0.5 * p.c * (eps / denominator(p.product)) ** 2)) for p in pair
+            )
+        else:
+            f, g = (
+                1.0 - math.exp(-2.0 * max(0.0, math.sqrt(p.c) * eps / 2.0 - one_sided_shift(p.product)) ** 2)
+                for p in pair
+            )
+        assert bounds._product_tail_bound(pair, side, eps) == 1.0 - f * g

@@ -7,6 +7,8 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bvconc
 from bvconc import bounds, kstests
@@ -391,6 +393,42 @@ class TestBoundsHome:
     def test_two_sample_critical_rejects_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(DomainError, match="alpha must lie in the open interval"):
             two_sample_critical(50.0, 40.0, TailSide.TWO_SIDED, alpha)
+
+
+class TestOutcomeFromItsParams:
+    """A two-sample outcome's ``p_upper`` and ``critical_at`` come from the ``params`` it reports."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), side=st.sampled_from(list(TailSide)))
+    def test_same_bits_as_the_product_bound_of_the_params(self, seed, side):
+        rng = np.random.default_rng(seed)
+        f = random_clustered(rng, max_clusters=40)
+        g = random_clustered(rng, max_clusters=40)
+        alphas = (0.001, *DEFAULT_ALPHAS)
+        out = two_sample_clustered(f, g, side, alphas)
+        assert all(p.d == 1.0 for p in out.params)
+        bound = partial(bounds._product_tail_bound, out.params, side)
+        assert out.p_upper.hex() == bound(out.statistic).hex()
+        assert {a: c.hex() for a, c in out.critical_at.items()} == {a: bounds._bisect(bound, a).hex() for a in alphas}
+
+    def test_every_bound_call_reads_the_returned_pair(self, monkeypatch):
+        seen = []
+
+        def spy(params, side, eps):
+            seen.append(params)
+            return bounds._product_tail_bound(params, side, eps)
+
+        def refuse(*args):
+            raise AssertionError("two_sample_clustered must not take the bare-size route")
+
+        monkeypatch.setattr(kstests, "_product_tail_bound", spy)
+        monkeypatch.setattr(kstests, "two_sample_tail_bound", refuse)
+        monkeypatch.setattr(bounds, "two_sample_tail_bound", refuse)
+        monkeypatch.setattr(bounds, "two_sample_critical", refuse)
+        rng = np.random.default_rng(29)
+        out = two_sample_clustered(random_clustered(rng), random_clustered(rng), TailSide.PLUS)
+        assert len(seen) > len(DEFAULT_ALPHAS)
+        assert all(params is out.params for params in seen)
 
 
 class TestFiniteThetaNonFinite:
