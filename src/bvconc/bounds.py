@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -192,12 +193,12 @@ def threshold(params: BoundParams, side: TailSide, stat):
     Two-sided sqrt(c) * stat / L(c*d); one-sided sqrt(c) * stat - S(c*d),
     floored at 0.  ``tail_bound(params, side, threshold(params, side, stat))``
     is the p-value upper bound of ``stat``.  A scalar ``stat`` is checked by
-    :func:`_real`; an array must have a real dtype, and its elements are used
-    as they are.
+    :func:`_real` and computed on as a float; an array must have a real dtype,
+    and its elements are used as they are.
     """
     two_sided = _two_sided(side)
     if not isinstance(stat, np.ndarray):
-        stat = _real("statistic", stat)
+        stat = float(_real("statistic", stat))  # as a float, a numpy scalar overflows with no warning
     elif stat.dtype.kind not in "biuf":
         raise DomainError(f"statistic must be a real array, got dtype {stat.dtype}")
     if two_sided:
@@ -216,6 +217,7 @@ def tail_bound_raw(params: BoundParams, side: TailSide, eps: float) -> float:
         raise DomainError(f"eps must be a finite real >= 0, got {eps}")
     _require_gt1(params.product)
     scale = 2.0 if _two_sided(side) else 1.0
+    eps = float(eps)  # as a float, a numpy scalar overflows with no warning
     return scale * math.exp(-2.0 * eps * eps)
 
 
@@ -229,31 +231,41 @@ def critical_statistic(params: BoundParams, side: TailSide, alpha: float) -> flo
 
     Two-sided: sqrt(ln(2/alpha)/2) * L(c*d) / sqrt(c).
     One-sided: (sqrt(ln(1/alpha)/2) + S(c*d)) / sqrt(c).
+    Below 2/DBL_MAX (two-sided) or 1/DBL_MAX (one-sided), where the quotient
+    overflows, its log is taken as a difference of logs.
     """
     alpha = _real("alpha", alpha)
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     x = params.product
     root_c = math.sqrt(params.c)
-    if _two_sided(side):
-        return math.sqrt(math.log(2.0 / alpha) / 2.0) * denominator(x) / root_c
-    return (math.sqrt(math.log(1.0 / alpha) / 2.0) + one_sided_shift(x)) / root_c
+    two_sided = _two_sided(side)
+    scale = 2.0 if two_sided else 1.0
+    if alpha * sys.float_info.max > scale:
+        level = math.log(scale / alpha)
+    else:  # scale / alpha would overflow to inf
+        level = math.log(scale) - math.log(alpha)
+    if two_sided:
+        return math.sqrt(level / 2.0) * denominator(x) / root_c
+    return (math.sqrt(level / 2.0) + one_sided_shift(x)) / root_c
 
 
 def _factor(params: BoundParams, two_sided: bool, eps: float) -> float:
     """One sample's guarantee in the product bound: its deviation stays within eps/2.
 
     Two-sided 1 - 2*exp(-(c/2)*(eps/L(c*d))^2), floored at 0; one-sided
-    1 - exp(-2*max(0, sqrt(c)*eps/2 - S(c*d))^2).
+    1 - exp(-2*max(0, sqrt(c)*eps/2 - S(c*d))^2).  Numpy scalars compute as
+    floats, which overflow quietly.
     """
+    c, eps = float(params.c), float(eps)
     if two_sided:
         ratio = eps / denominator(params.product)
         try:
             square = ratio**2
         except OverflowError:  # the square is past the float range: exp(-inf) = 0
             return 1.0
-        return max(0.0, 1.0 - 2.0 * math.exp(-0.5 * params.c * square))
-    shifted = max(0.0, math.sqrt(params.c) * eps / 2.0 - one_sided_shift(params.product))
+        return max(0.0, 1.0 - 2.0 * math.exp(-0.5 * c * square))
+    shifted = max(0.0, math.sqrt(c) * eps / 2.0 - one_sided_shift(params.product))
     return 1.0 - math.exp(-2.0 * shifted * shifted)
 
 

@@ -14,12 +14,14 @@ one-to-one onto the library API::
     simulate coverage   iid uniform coverage validation
     simulate sharpness  fixed-n lower-bound construction
 
-The argparse parser is the only command table: each command's subparser
-names its handler, which reads the parsed options and returns the payload.
-The parser is built once per process, on the first :func:`main` call, and
-every later call reuses it; so option defaults are shared between calls
-(the list-valued ones are tuples), and a handler must not mutate an option
-value in place.
+``_COMMANDS`` is the only command table: each command names its handler,
+which reads the parsed options and returns the payload, and its options in
+``--help`` order; an option that several commands take is defined once.
+:func:`build_parser` turns the table into the argparse parser, once per
+process, on the first :func:`main` call, and every later call reuses it; so
+option defaults are shared between calls (the list-valued ones are tuples),
+and a handler must not mutate an option value in place.  Ingest notices go
+to stderr and into the JSON ``notes``; the library tests never see them.
 
 The two-file commands (``kstest two-sample`` and ``kstest lipschitz``) read
 both files at once where ``os.fork`` exists and ``--g`` is a regular file: a
@@ -635,7 +637,8 @@ def _alpha_map(critical: dict) -> dict:
     return {repr(float(a)): v for a, v in sorted(critical.items())}
 
 
-def _ks_payload(outcome: KsOutcome, **extra) -> dict:
+def _ks_payload(outcome: KsOutcome, notes: Sequence[str] = (), **extra) -> dict:
+    """The JSON payload of a test outcome; ``notes`` are the ingest notices :func:`_with_notes` returned."""
     return {
         "statistic": outcome.statistic,
         "side": outcome.side.value,
@@ -643,7 +646,7 @@ def _ks_payload(outcome: KsOutcome, **extra) -> dict:
         "p_upper_raw": outcome.p_upper_raw,
         "critical": _alpha_map(dict(outcome.critical_at)),
         "conservative": outcome.conservative,
-        "notes": list(outcome.notes),
+        "notes": list(notes),
         **extra,
     }
 
@@ -701,10 +704,11 @@ def _run_ks_one_sample(ns: argparse.Namespace) -> dict:
     # built before the file is read, so a bad --ref-loc or --ref-scale is reported first
     ref = _make_ref(ns)
     (sample,), notes = _with_notes([_ingest_clustered(ns.data)])
-    outcome = one_sample_clustered(sample, ref, ns.side, ns.alpha, notes=notes)
+    outcome = one_sample_clustered(sample, ref, ns.side, ns.alpha)
     spec = sample.cluster_spec()
     return _ks_payload(
         outcome,
+        notes,
         nu=spec.nu_n,
         c=outcome.params.c,
         d=outcome.params.d,
@@ -715,9 +719,10 @@ def _run_ks_one_sample(ns: argparse.Namespace) -> dict:
 
 def _run_ks_two_sample(ns: argparse.Namespace) -> dict:
     (sample_f, sample_g), notes = _with_notes(_load_both(_clustered_arrays, _clustered_sample, ns.f, ns.g))
-    outcome = two_sample_clustered(sample_f, sample_g, ns.side, ns.alpha, notes=notes)
+    outcome = two_sample_clustered(sample_f, sample_g, ns.side, ns.alpha)
     return _ks_payload(
         outcome,
+        notes,
         nu=outcome.params[0].c,
         xi=outcome.params[1].c,
         n_f=sample_f.n,
@@ -821,23 +826,69 @@ _RENDERERS = {"json": _render_json, "csv": _render_csv, "table": _render_table}
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=list(_RENDERERS), default="json")
-    parser.add_argument("--out", default=None, metavar="PATH")
+# (flag, add_argument keywords); an option that more than one command takes is defined once
+_Option = tuple[str, dict]
+_Command = tuple[Callable[[argparse.Namespace], dict], tuple[_Option, ...]]
 
+_C = ("--c", dict(type=float, required=True, help="McDiarmid coefficient"))
+_D = ("--d", dict(type=float, required=True, help="downward-variation coefficient"))
+_SIDE = ("--side", dict(choices=("two", "plus", "minus"), default="two"))
+_ALPHA = (
+    "--alpha",
+    dict(type=float, nargs="+", default=DEFAULT_ALPHAS, help="significance levels (default: 0.01 0.05 0.1)"),
+)
+_F = ("--f", dict(required=True, metavar="CSV"))
+_G = ("--g", dict(required=True, metavar="CSV"))
+_N = ("--n", dict(type=int, required=True))
+_TRIALS = ("--trials", dict(type=int, required=True))
+_SEED = ("--seed", dict(type=int, default=0))
+_OUTPUT = (
+    ("--format", dict(choices=tuple(_RENDERERS), default="json")),
+    ("--out", dict(default=None, metavar="PATH")),
+)
 
-def _add_side(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--side", choices=["two", "plus", "minus"], default="two")
-
-
-def _add_alpha(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        nargs="+",
-        default=DEFAULT_ALPHAS,
-        help="significance levels (default: 0.01 0.05 0.1)",
-    )
+# group -> (its help, {command -> (handler, options in --help order)}); every command then takes _OUTPUT
+_COMMANDS: dict[str, tuple[str, dict[str, _Command]]] = {
+    "bound": ("evaluate or invert tail bounds", {
+        "eval": (_run_bound_eval, (_C, _D, _SIDE, ("--eps", dict(type=float, nargs="+", required=True)))),
+        "critical": (_run_critical, (_C, _D, _SIDE, _ALPHA)),
+    }),
+    "kstest": ("hypothesis tests on data files", {
+        "one-sample": (_run_ks_one_sample, (
+            ("--data", dict(required=True, metavar="CSV")),
+            ("--ref", dict(choices=("uniform", "normal"), default="uniform")),
+            ("--ref-loc", dict(type=float, default=0.0)),
+            ("--ref-scale", dict(type=float, default=1.0)),
+            _SIDE,
+            _ALPHA,
+        )),
+        "two-sample": (_run_ks_two_sample, (_F, _G, _SIDE, _ALPHA)),
+        "lipschitz": (_run_lipschitz, (
+            _F,
+            _G,
+            ("--k-lip", dict(type=float, required=True)),
+            ("--grid-exhaustive", dict(action="store_true")),
+            _ALPHA,
+        )),
+    }),
+    "simulate": ("Monte Carlo validation harnesses", {
+        "grid": (_run_simulate_grid, (
+            _N,
+            ("--m", dict(type=int, nargs="+", required=True)),
+            ("--eps", dict(type=float, required=True)),
+            _TRIALS,
+            _SEED,
+        )),
+        "coverage": (_run_simulate_coverage, (
+            _N,
+            _TRIALS,
+            _SEED,
+            ("--eps", dict(type=float, nargs="+", default=DEFAULT_COVERAGE_EPS)),
+            _SIDE,
+        )),
+        "sharpness": (_run_simulate_sharpness, (_N, ("--l-target", dict(type=float, required=True)), _TRIALS, _SEED)),
+    }),
+}
 
 
 @cache  # one parser per process: the first main() call builds it, later calls reuse it
@@ -846,82 +897,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bvconc",
         description="Concentration bounds and KS-like tests for randomized functions of bounded variation",
     )
-    top = parser.add_subparsers(dest="group", required=True)
-
-    bound = top.add_parser("bound", help="evaluate or invert tail bounds")
-    bound_sub = bound.add_subparsers(dest="subcommand", required=True)
-    for name in ("eval", "critical"):
-        p = bound_sub.add_parser(name)
-        p.add_argument("--c", type=float, required=True, help="McDiarmid coefficient")
-        p.add_argument("--d", type=float, required=True, help="downward-variation coefficient")
-        _add_side(p)
-        if name == "eval":
-            p.add_argument("--eps", type=float, nargs="+", required=True)
-            p.set_defaults(handler=_run_bound_eval)
-        else:
-            _add_alpha(p)
-            p.set_defaults(handler=_run_critical)
-        _add_common(p)
-
-    kstest = top.add_parser("kstest", help="hypothesis tests on data files")
-    ks_sub = kstest.add_subparsers(dest="subcommand", required=True)
-
-    one = ks_sub.add_parser("one-sample")
-    one.add_argument("--data", required=True, metavar="CSV")
-    one.add_argument("--ref", choices=["uniform", "normal"], default="uniform")
-    one.add_argument("--ref-loc", type=float, default=0.0)
-    one.add_argument("--ref-scale", type=float, default=1.0)
-    _add_side(one)
-    _add_alpha(one)
-    _add_common(one)
-    one.set_defaults(handler=_run_ks_one_sample)
-
-    two = ks_sub.add_parser("two-sample")
-    two.add_argument("--f", required=True, metavar="CSV")
-    two.add_argument("--g", required=True, metavar="CSV")
-    _add_side(two)
-    _add_alpha(two)
-    _add_common(two)
-    two.set_defaults(handler=_run_ks_two_sample)
-
-    lip = ks_sub.add_parser("lipschitz")
-    lip.add_argument("--f", required=True, metavar="CSV")
-    lip.add_argument("--g", required=True, metavar="CSV")
-    lip.add_argument("--k-lip", type=float, required=True, dest="k_lip")
-    lip.add_argument("--grid-exhaustive", action="store_true")
-    _add_alpha(lip)
-    _add_common(lip)
-    lip.set_defaults(handler=_run_lipschitz)
-
-    sim = top.add_parser("simulate", help="Monte Carlo validation harnesses")
-    sim_sub = sim.add_subparsers(dest="subcommand", required=True)
-
-    grid = sim_sub.add_parser("grid")
-    grid.add_argument("--n", type=int, required=True)
-    grid.add_argument("--m", type=int, nargs="+", required=True)
-    grid.add_argument("--eps", type=float, required=True)
-    grid.add_argument("--trials", type=int, required=True)
-    grid.add_argument("--seed", type=int, default=0)
-    _add_common(grid)
-    grid.set_defaults(handler=_run_simulate_grid)
-
-    cov = sim_sub.add_parser("coverage")
-    cov.add_argument("--n", type=int, required=True)
-    cov.add_argument("--trials", type=int, required=True)
-    cov.add_argument("--seed", type=int, default=0)
-    cov.add_argument("--eps", type=float, nargs="+", default=DEFAULT_COVERAGE_EPS)
-    _add_side(cov)
-    _add_common(cov)
-    cov.set_defaults(handler=_run_simulate_coverage)
-
-    sharp = sim_sub.add_parser("sharpness")
-    sharp.add_argument("--n", type=int, required=True)
-    sharp.add_argument("--l-target", type=float, required=True, dest="l_target")
-    sharp.add_argument("--trials", type=int, required=True)
-    sharp.add_argument("--seed", type=int, default=0)
-    _add_common(sharp)
-    sharp.set_defaults(handler=_run_simulate_sharpness)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, (help_text, commands) in _COMMANDS.items():
+        subcommands = groups.add_parser(group, help=help_text).add_subparsers(dest="subcommand", required=True)
+        for name, (handler, options) in commands.items():
+            command = subcommands.add_parser(name)
+            for flag, settings in (*options, *_OUTPUT):
+                command.add_argument(flag, **settings)
+            command.set_defaults(handler=handler)
     return parser
 
 

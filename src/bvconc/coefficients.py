@@ -149,15 +149,21 @@ class ClusterSpec:
     @cached_property
     def a_n(self) -> float:
         """Mean cluster size."""
-        return self.n / self.k
+        try:
+            return self.n / self.k
+        except OverflowError:
+            raise DomainError("cluster sizes are too large: their mean overflows a float") from None
 
     @cached_property
     def s2_n(self) -> float:
         """Population (divide-by-K) variance of cluster sizes."""
         a = self.a_n
         total = 0
-        for s in self.sizes:  # in order, not sum(): see the module docstring
-            total += (s - a) ** 2
+        try:
+            for s in self.sizes:  # in order, not sum(): see the module docstring
+                total += (s - a) ** 2
+        except OverflowError:
+            raise DomainError("cluster sizes are too large: their variance overflows a float") from None
         return total / self.k
 
     @cached_property

@@ -18,7 +18,7 @@ for the observed data is returned as p_upper = 1, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from .bounds import (
@@ -86,7 +86,6 @@ class KsOutcome:
     p_upper_raw: float
     critical_at: Mapping[float, float]
     conservative: bool = False
-    notes: tuple[str, ...] = field(default=())
     interval: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -104,7 +103,7 @@ def _single_pair_outcome(
 ) -> KsOutcome:
     """Outcome of a statistic under one coefficient pair: closed-form bound and critical values.
 
-    ``fields`` sets the remaining :class:`KsOutcome` fields (``notes`` and the like).
+    ``fields`` sets the remaining :class:`KsOutcome` fields (``conservative`` and ``interval``).
     """
     eps = threshold(params, side, stat)
     return KsOutcome(
@@ -140,7 +139,6 @@ def one_sample_clustered(
     ref_cdf: Callable,
     side: TailSide,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    notes: Sequence[str] = (),
 ) -> KsOutcome:
     """Test whether clustered data follows a given continuous reference CDF.
 
@@ -152,7 +150,7 @@ def one_sample_clustered(
     alphas = _validate_alphas(alphas)
     params = _pooled_params(sample, "sample")
     stat = sup_distance_reference(ecdf(sample), ref_cdf, side)
-    return _single_pair_outcome(params, side, stat, alphas, notes=tuple(notes))
+    return _single_pair_outcome(params, side, stat, alphas)
 
 
 def two_sample_clustered(
@@ -160,7 +158,6 @@ def two_sample_clustered(
     sample_g: ClusteredSample,
     side: TailSide,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    notes: Sequence[str] = (),
 ) -> KsOutcome:
     """Test equality of the two mean functions behind independent clustered samples.
 
@@ -183,7 +180,6 @@ def two_sample_clustered(
         p_upper=p_upper,
         p_upper_raw=p_upper,
         critical_at={a: _bisect(lambda eps: _product_tail_bound(params, side, eps), a) for a in alphas},
-        notes=tuple(notes),
     )
 
 
@@ -193,7 +189,6 @@ def lipschitz_two_sample(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     *,
     exhaustive_grid: bool = False,
-    notes: Sequence[str] = (),
 ) -> KsOutcome:
     """Two-sided test that two panels of Lipschitz trajectories share a mean curve.
 
@@ -219,7 +214,6 @@ def lipschitz_two_sample(
         stat,
         alphas,
         conservative=conservative,
-        notes=tuple(notes),
         interval=(lower, upper),
     )
 
@@ -229,7 +223,6 @@ def finite_theta_test(
     ranges: Sequence[RangeSpec],
     c: float,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    notes: Sequence[str] = (),
 ) -> KsOutcome:
     """Simultaneous two-sided test of finitely many bounded statistics.
 
@@ -267,4 +260,4 @@ def finite_theta_test(
     d_coeff = downward_variation(FiniteTheta(ranges))
     params = BoundParams(c=c, d=d_coeff)
     stat = max(abs(obs - exp) for obs, exp in stats)
-    return _single_pair_outcome(params, TailSide.TWO_SIDED, stat, alphas, notes=tuple(notes))
+    return _single_pair_outcome(params, TailSide.TWO_SIDED, stat, alphas)

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -627,3 +628,76 @@ class TestProductBound:
                 for p in pair
             )
         assert bounds._product_tail_bound(pair, side, eps) == 1.0 - f * g
+
+
+class TestTinyAlpha:
+    """Below scale / DBL_MAX, ln(scale / alpha) is taken as a difference, so it stays finite."""
+
+    # above both cutoffs (2/DBL_MAX ~ 1.1e-308, 1/DBL_MAX ~ 5.6e-309), between them, and below both
+    ALPHAS = [1e-300, 2.3e-308, 1e-308, 5.5e-309, 1e-310, 1e-320, 5e-324]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_two_sided_matches_the_oracle(self, alpha):
+        got = critical_statistic(BoundParams(100.0, 1.0), TailSide.TWO_SIDED, alpha)
+        assert got == pytest.approx(float(oracles.critical_two_sided_hp(100.0, 1.0, alpha)), rel=1e-13)
+
+    @pytest.mark.parametrize("side", [TailSide.PLUS, TailSide.MINUS])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_one_sided_matches_the_formula(self, side, alpha):
+        x = oracles.mp.mpf(100)
+        expected = oracles.mp.sqrt(-oracles.mp.log(oracles.mp.mpf(alpha)) / 2) + oracles.one_sided_shift_hp(x)
+        got = critical_statistic(BoundParams(100.0, 1.0), side, alpha)
+        assert got == pytest.approx(float(expected / 10), rel=1e-13)
+
+    def test_values_at_1e_310(self):
+        params = BoundParams(100.0, 1.0)
+        assert round(critical_statistic(params, TailSide.TWO_SIDED, 1e-310), 5) == 7.99672
+        assert round(critical_statistic(params, TailSide.PLUS, 1e-310), 5) == 2.18668
+
+    @pytest.mark.parametrize("side", list(TailSide))
+    def test_finite_and_decreasing_across_each_cutoff(self, side):
+        params = BoundParams(3.0, 2.0)
+        cutoff = (2.0 if side.is_two_sided else 1.0) / sys.float_info.max
+        alphas = [cutoff]
+        for _ in range(3):
+            alphas = [math.nextafter(alphas[0], 0.0), *alphas, math.nextafter(alphas[-1], 1.0)]
+        values = [critical_statistic(params, side, a) for a in alphas]
+        assert all(math.isfinite(v) for v in values)
+        assert values == sorted(values, reverse=True)
+
+    def test_levels_above_the_cutoff_keep_the_quotient_form(self):
+        # no byte of a level above the cutoff moves: ln(2 / alpha), not ln 2 - ln alpha
+        params = BoundParams(100.0, 1.0)
+        for alpha in (0.05, 1e-10, 1e-300):
+            expected = math.sqrt(math.log(2.0 / alpha) / 2.0) * denominator(100.0) / 10.0
+            assert critical_statistic(params, TailSide.TWO_SIDED, alpha) == expected
+
+
+class TestNumpyScalarsComputeAsFloats:
+    """A numpy scalar argument gives what its float gives, with no RuntimeWarning."""
+
+    CALLS = [
+        pytest.param(lambda x: tail_bound(BoundParams(40.0, 1.0), TailSide.TWO_SIDED, x(1e200)), id="tail-bound"),
+        pytest.param(lambda x: tail_bound_raw(BoundParams(40.0, 1.0), TailSide.PLUS, x(1e200)), id="tail-bound-raw"),
+        pytest.param(lambda x: two_sample_tail_bound(40.0, 30.0, TailSide.TWO_SIDED, x(1e200)), id="two-sample"),
+        pytest.param(lambda x: two_sample_tail_bound(40.0, 30.0, TailSide.PLUS, x(1e200)), id="two-sample-plus"),
+        pytest.param(lambda x: two_sample_tail_bound(x(1e300), 30.0, TailSide.TWO_SIDED, 1e150), id="two-sample-nu"),
+        pytest.param(lambda x: threshold(BoundParams(40.0, 1.0), TailSide.TWO_SIDED, x(1e308)), id="threshold"),
+        pytest.param(lambda x: threshold(BoundParams(40.0, 1.0), TailSide.MINUS, x(1e308)), id="threshold-minus"),
+        pytest.param(lambda x: critical_statistic(BoundParams(40.0, 1.0), TailSide.TWO_SIDED, x(1e-320)), id="critical"),
+        pytest.param(lambda x: critical_statistic(BoundParams(40.0, 1.0), TailSide.PLUS, x(1e-320)), id="critical-plus"),
+        pytest.param(lambda x: two_sample_critical(40.0, 30.0, TailSide.TWO_SIDED, x(1e-320)), id="two-sample-critical"),
+    ]
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_no_warning_and_the_float_result(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = call(np.float64)
+            expected = call(float)
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_fraction_keeps_the_float_bits(self, call):
+        # a Fraction is computed on as its float, as before
+        assert repr(call(Fraction)) == repr(call(float))

@@ -2079,3 +2079,53 @@ class TestFallbackReadsTheOpenFile:
             with pytest.raises(DataFormatError, match=r": row 3: expected 2 columns, got 3$"):
                 _read_table(path, _clustered_header)
         assert spy.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# Strict JSON: no NaN or Infinity in any JSON the CLI prints
+# ---------------------------------------------------------------------------
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON that RFC 8259 allows: ``NaN``, ``Infinity`` and ``-Infinity`` are refused."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def prints_json(argv: list[str]) -> bool:
+    """Whether a matrix case prints a JSON payload: a command in the json format, written to stdout."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    return fmt == "json" and "--help" not in argv and "--out" not in argv
+
+
+class TestStrictJson:
+    def test_golden_matrix_json_stdout(self):
+        cases = strict_json(CLI_MATRIX_GOLDEN.read_text(encoding="utf-8"))["cases"]
+        printed = [case for case in cases.values() if case["exit"] == 0 and prints_json(case["argv"])]
+        assert len(printed) == 12  # the "-json" case of each command in the matrix
+        for case in printed:
+            assert isinstance(strict_json(case["stdout"]), dict), case["argv"]
+
+    @pytest.mark.parametrize("name", ["sim_reports.json", "sim_reports_zero_eps.json"])
+    def test_golden_sim_reports(self, name):
+        reports = strict_json((GOLDEN / name).read_text(encoding="utf-8"))
+        assert reports and all(isinstance(report, dict) for report in reports.values())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "critical", "--c", "100", "--d", "1", "--alpha", "1e-310"],
+            ["bound", "critical", "--c", "100", "--d", "1", "--side", "plus", "--alpha", "5e-324", "1e-310"],
+            ["kstest", "one-sample", "--data", "{tmp}/u.csv", "--alpha", "1e-310", "0.05"],
+            ["kstest", "lipschitz", "--f", "{tmp}/pa.csv", "--g", "{tmp}/pb.csv", "--k-lip", "1.0", "--alpha", "1e-310"],
+        ],
+        ids=["critical", "critical-plus", "one-sample", "lipschitz"],
+    )
+    def test_tiny_alpha_prints_finite_critical_values(self, argv, matrix_dir):
+        got = run_matrix_case(argv, matrix_dir)
+        assert got["exit"] == 0, got["stderr"]
+        critical = strict_json(got["stdout"])["critical"]
+        assert "1e-310" in critical and all(math.isfinite(value) for value in critical.values())

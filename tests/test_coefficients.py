@@ -446,3 +446,19 @@ class TestSquareOverflow:
     def test_largest_square_still_passes(self):
         k = 6e153  # 4 (1 + k)^2 is about 1.44e308, below the float maximum
         assert lipschitz_difference_params(4, k).d == 4.0 * (1.0 + k) ** 2
+
+
+class TestClusterSizesPastTheFloatRange:
+    """Sizes whose mean or variance fits no float raise a DomainError naming the cluster sizes."""
+
+    @pytest.mark.parametrize(
+        "sizes, what",
+        [([10**200, 1], "variance"), ([10**400, 1], "mean"), ([2 * 10**308] + [1] * 20, "variance")],
+        ids=["square-overflows", "mean-overflows", "size-past-float"],
+    )
+    def test_domain_error(self, sizes, what):
+        with pytest.raises(DomainError, match=f"^cluster sizes are too large: their {what} overflows a float$"):
+            ClusterSpec(sizes).nu_n
+
+    def test_large_sizes_that_fit_still_pass(self):
+        assert ClusterSpec([10**150, 10**150]).nu_n == 2.0
