@@ -97,7 +97,8 @@ class BoundParams:
 
     ``c`` is the McDiarmid coefficient of effective sample size, ``d`` the
     downward-variation coefficient.  Their product must exceed 1 or the bound
-    is vacuous and the pair is rejected outright.
+    is vacuous and the pair is rejected outright; a product past the float
+    range is rejected here too, as every bound would reject it.
     """
 
     c: float
@@ -110,10 +111,11 @@ class BoundParams:
             raise DomainError(f"McDiarmid coefficient must be finite and positive, got {self.c}")
         if not (math.isfinite(self.d) and self.d > 0):
             raise DomainError(f"downward-variation coefficient must be finite and positive, got {self.d}")
-        if self.c * self.d <= 1.0:
-            raise VacuousBoundError(
-                f"coefficient product c*d = {self.c * self.d} is <= 1; no bound applies"
-            )
+        with np.errstate(over="ignore"):  # numpy scalars overflow to inf quietly, as floats do
+            product = self.c * self.d
+        if product <= 1.0:
+            raise VacuousBoundError(f"coefficient product c*d = {product} is <= 1; no bound applies")
+        _require_gt1(product)
 
     @property
     def product(self) -> float:
@@ -215,7 +217,6 @@ def tail_bound_raw(params: BoundParams, side: TailSide, eps: float) -> float:
     eps = _real("eps", eps)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise DomainError(f"eps must be a finite real >= 0, got {eps}")
-    _require_gt1(params.product)
     scale = 2.0 if _two_sided(side) else 1.0
     eps = float(eps)  # as a float, a numpy scalar overflows with no warning
     return scale * math.exp(-2.0 * eps * eps)
@@ -232,9 +233,10 @@ def critical_statistic(params: BoundParams, side: TailSide, alpha: float) -> flo
     Two-sided: sqrt(ln(2/alpha)/2) * L(c*d) / sqrt(c).
     One-sided: (sqrt(ln(1/alpha)/2) + S(c*d)) / sqrt(c).
     Below 2/DBL_MAX (two-sided) or 1/DBL_MAX (one-sided), where the quotient
-    overflows, its log is taken as a difference of logs.
+    overflows, its log is taken as a difference of logs.  ``alpha`` is
+    computed on as its float, so a level whose float is 0 is rejected.
     """
-    alpha = _real("alpha", alpha)
+    alpha = float(_real("alpha", alpha))
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     x = params.product
@@ -333,9 +335,9 @@ def two_sample_critical(nu: float, xi: float, side: TailSide, alpha: float) -> f
 
     The bound is continuous and nonincreasing in eps, so :func:`_bisect`
     finds it: bracket by doubling from 1, then bisect to a relative width of
-    1e-14 and return the midpoint.
+    1e-14 and return the midpoint.  ``alpha`` is computed on as its float.
     """
-    alpha = _real("alpha", alpha)
+    alpha = float(_real("alpha", alpha))
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     params, _ = _size_pair(nu, xi, side, 1.0)

@@ -127,10 +127,13 @@ def _pooled_params(sample: ClusteredSample, label: str) -> BoundParams:
     return BoundParams(c=nu, d=_POOLED_ECDF_D)
 
 def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
+    """``alphas`` as a tuple, as given, once each level's float lies in (0, 1)."""
     alphas = tuple(alphas)
     for a in alphas:
-        if not (_finite("alpha", a) and 0.0 < a < 1.0):
-            raise DomainError(f"alpha levels must lie in (0, 1), got {a}")
+        _finite("alpha", a)
+        level = float(a)
+        if not 0.0 < level < 1.0:
+            raise DomainError(f"alpha levels must lie in (0, 1), got {level}")
     return alphas
 
 
@@ -179,7 +182,7 @@ def two_sample_clustered(
         params=params,
         p_upper=p_upper,
         p_upper_raw=p_upper,
-        critical_at={a: _bisect(lambda eps: _product_tail_bound(params, side, eps), a) for a in alphas},
+        critical_at={a: _bisect(lambda eps: _product_tail_bound(params, side, eps), float(a)) for a in alphas},
     )
 
 

@@ -21,13 +21,16 @@ Three experiments:
 
 Reproducibility contract: every trial draws from a counter-based Philox
 stream keyed by (seed, experiment stream, trial index).  Every draw comes
-from ``_trial_blocks``, which yields the trials in bounded blocks, one row
-per trial, so the block size never changes a result; the one trial of
-``binomial_grid_sup`` is such a block of one row.  ``trial_rng`` builds one
-trial's stream on its own and is the reference those rows are tested
-against; no experiment calls it.  Results are bitwise-identical for
-identical (config, seed), and binomial draws are inverted from the exact
-binomial CDF (never sampled by rejection or normal approximation).
+from ``_per_trial``, which allocates one result per trial before it draws
+and fills it from ``_trial_blocks``: the trials in bounded blocks, one row
+per trial, each block reduced to its rows' results, so the block size never
+changes a result.  The one trial of ``binomial_grid_sup`` is such a call
+too, and every report row is the frequency of a per-trial event, computed
+by ``_row``.  ``trial_rng`` builds one trial's stream on its own and is the
+reference those rows are tested against; no experiment calls it.  Results
+are bitwise-identical for identical (config, seed), and binomial draws are
+inverted from the exact binomial CDF (never sampled by rejection or normal
+approximation).
 """
 
 from __future__ import annotations
@@ -110,6 +113,20 @@ def _trial_blocks(seed: int, stream: int, first: int, trials: int, width: int):
             bitgen.state = state
             gen.random(out=row)
         yield start, block
+
+
+def _per_trial(seed: int, stream: int, first: int, trials: int, width: int, statistic, dtype=float) -> np.ndarray:
+    """``statistic`` of the uniform rows of trials ``first .. first + trials - 1``, one entry per trial.
+
+    The result is allocated before the first draw, so a trial count too large
+    for it is a DomainError naming that count.  It is then filled block by
+    block from ``_trial_blocks``: ``statistic`` maps a block of rows to one
+    value per row.
+    """
+    out = _allocate(trials, f"a result array of {trials} trials", dtype)
+    for start, block in _trial_blocks(seed, stream, first, trials, width):
+        out[start : start + len(block)] = statistic(block)
+    return out
 
 
 def _allocate(shape, what: str, dtype=float) -> np.ndarray:
@@ -236,9 +253,15 @@ class SimReport:
         return out
 
 
-def _row(label: str, eps: float, emp: float, bound: float, trials: int, **extra) -> SimRow:
-    """A report row, flagged when ``emp`` exceeds ``bound`` by more than 3 stderrs."""
-    se = math.sqrt(emp * (1.0 - emp) / trials)
+def _row(label: str, eps: float, hits: np.ndarray, bound: float, **extra) -> SimRow:
+    """The report row of the per-trial events ``hits``, a bool array, one entry per trial.
+
+    Its frequency is ``np.mean(hits)``, the count over ``hits.size`` correctly
+    rounded, as ``count / trials`` is.  The row is flagged when that
+    frequency exceeds ``bound`` by more than 3 stderrs.
+    """
+    emp = float(np.mean(hits))
+    se = math.sqrt(emp * (1.0 - emp) / hits.size)
     violation = emp > bound + 3.0 * se
     return SimRow(
         eps=eps, empirical=emp, bound=bound, stderr=se, violation=violation, label=label, **extra
@@ -250,15 +273,15 @@ def binomial_grid_sup(n: int, m: int, seed: int) -> float:
 
     Draws U_j ~ Binomial(n, 1/2) independently for j = 0..m-1 and returns
     max_j |U_j - n/2| / (n*m), the exact sup deviation of the pooled
-    empirical CDF from its mean for the two-point-support grid data.  The
-    uniforms are the one row of ``_trial_blocks`` for trial 0 of the grid
-    stream, so a row too wide to allocate is a DomainError here too.
+    empirical CDF from its mean for the two-point-support grid data.  It is
+    the one ``_per_trial`` result of trial 0 of the grid stream, so a row too
+    wide to allocate is a DomainError here too.
     """
     config = SimConfig(n=n, m=m, trials=1, seed=seed, eps_grid=())
     n, m, seed = config.n, config.m, config.seed
-    _, block = next(_trial_blocks(seed, _STREAM_GRID, 0, 1, m))
-    u = _binomial_half(n).invert(block[0])
-    return float(np.max(np.abs(u - n / 2.0))) / (n * m)
+    bh = _binomial_half(n)
+    sup = _per_trial(seed, _STREAM_GRID, 0, 1, m, lambda block: np.abs(bh.invert(block) - n / 2.0).max(axis=1))
+    return float(sup[0]) / (n * m)
 
 
 def _strict_lower_cut(threshold: Fraction) -> int:
@@ -293,16 +316,15 @@ def conjecture_refutation_experiment(
     p_one = bh.cdf_fraction(lo_cut) + (1 - bh.cdf_fraction(hi_cut - 1))
     naive = min(1.0, 2.0 * math.exp(-2.0 * n * eps * eps))
 
+    def exceeds(block: np.ndarray) -> np.ndarray:
+        # inversion is nondecreasing, so it commutes with a row's min and max
+        return (bh.invert(block.min(axis=1)) <= lo_cut) | (bh.invert(block.max(axis=1)) >= hi_cut)
+
     rows = []
     for j, m in enumerate(m_list):
-        hits = 0
-        for _, block in _trial_blocks(seed, _STREAM_REFUTATION, j * trials, trials, m):
-            # inversion is nondecreasing, so it commutes with a row's min and max
-            lo, hi = bh.invert(block.min(axis=1)), bh.invert(block.max(axis=1))
-            hits += int(np.count_nonzero((lo <= lo_cut) | (hi >= hi_cut)))
+        hits = _per_trial(seed, _STREAM_REFUTATION, j * trials, trials, m, exceeds, bool)
         exact = float(1 - (1 - p_one) ** m)
-        emp = hits / trials
-        rows.append(_row(f"m={m}", eps, emp, naive, trials, m=m, exact=exact))
+        rows.append(_row(f"m={m}", eps, hits, naive, m=m, exact=exact))
     return SimReport(
         config=config,
         statistic="max_j |U_j/n - 1/2| over m independent Binomial(n, 1/2) columns",
@@ -352,16 +374,13 @@ def iid_coverage(
         raise DomainError(f"need at least 100 trials for stable frequencies, got {trials}")
     two_sided = _two_sided(side)
 
-    sup = _allocate(trials, f"a result array of {trials} trials")
-    for start, block in _trial_blocks(seed, _STREAM_COVERAGE, 0, trials, n):
-        sup[start : start + len(block)] = _uniform_sup_distance(block, side)
+    sup = _per_trial(seed, _STREAM_COVERAGE, 0, trials, n, lambda block: _uniform_sup_distance(block, side))
     params = BoundParams(c=n, d=_POOLED_ECDF_D)
 
     rows = []
     for label, stats in (("adjusted", threshold(params, side, sup)), ("raw", math.sqrt(n) * sup)):
         for eps in config.eps_grid:
-            emp = float(np.mean(stats > eps))
-            rows.append(_row(label, eps, emp, tail_bound(params, side, eps), trials))
+            rows.append(_row(label, eps, stats > eps, tail_bound(params, side, eps)))
     if two_sided:
         statistic = "sqrt(n) * sup|F - U| / L(n)  [raw rows: sqrt(n) * sup|F - U|]"
     else:
@@ -412,16 +431,13 @@ def sharpness_experiment(
         notes = (f"m_n = {m_n} truncated to cap {m_cap}",)
         m_n = m_cap
 
-    mins = _allocate(trials, f"a result array of {trials} trials", int)
-    for start, block in _trial_blocks(seed, _STREAM_SHARPNESS, 0, trials, m_n):
-        # inversion is nondecreasing, so the row's smallest uniform gives its smallest draw
-        mins[start : start + len(block)] = bh.invert(block.min(axis=1))
+    # inversion is nondecreasing, so the row's smallest uniform gives its smallest draw
+    mins = _per_trial(seed, _STREAM_SHARPNESS, 0, trials, m_n, lambda block: bh.invert(block.min(axis=1)), int)
 
     def row(label: str, eps: float, cut: int) -> SimRow:
         # the exact P(min_j U_j <= cut) is both the reference and the ``exact`` column
         exact = 0.0 if cut < 0 else float(1 - (1 - bh.cdf_fraction(cut)) ** m_n)
-        emp = float(np.mean(mins <= cut))
-        return _row(label, eps, emp, exact, trials, m=m_n, exact=exact)
+        return _row(label, eps, mins <= cut, exact, m=m_n, exact=exact)
 
     root_n = math.sqrt(n)
     rows = [row("min_le_k", float(k), k)]

@@ -701,3 +701,30 @@ class TestNumpyScalarsComputeAsFloats:
     def test_fraction_keeps_the_float_bits(self, call):
         # a Fraction is computed on as its float, as before
         assert repr(call(Fraction)) == repr(call(float))
+
+
+class TestProductPastTheFloatRange:
+    """c and d whose product overflows a float are rejected when the pair is built, numpy or not."""
+
+    @pytest.mark.parametrize("real", [float, np.float64], ids=["float", "numpy"])
+    def test_rejected_at_construction_with_no_warning(self, real):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^bound argument must be a finite real > 1, got inf$"):
+                BoundParams(real(1e200), real(1e200))
+
+
+class TestLevelWhoseFloatIsZero:
+    """A level that is positive but rounds to 0.0 as a float is a DomainError, as 0.0 is."""
+
+    LEVEL = Fraction(1, 10**400)
+
+    @pytest.mark.parametrize("side", list(TailSide))
+    def test_critical_statistic(self, side):
+        with pytest.raises(DomainError, match=r"^alpha must lie in the open interval \(0, 1\), got 0\.0$"):
+            critical_statistic(BoundParams(100.0, 1.0), side, self.LEVEL)
+
+    @pytest.mark.parametrize("side", list(TailSide))
+    def test_two_sample_critical(self, side):
+        with pytest.raises(DomainError, match=r"^alpha must lie in the open interval \(0, 1\), got 0\.0$"):
+            two_sample_critical(40.0, 30.0, side, self.LEVEL)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 from functools import partial
 
 import mpmath as mp
@@ -589,3 +590,35 @@ class TestTwoSampleOracle:
     def test_agrees_with_the_direct_form(self, nu, xi, eps):
         got = oracles.two_sample_two_sided_hp(nu, xi, eps)
         assert abs(got - self.direct(nu, xi, eps, 100)) <= mp.mpf("1e-45") * got
+
+
+class TestLevelWhoseFloatIsZero:
+    """A level that is positive but rounds to 0.0 as a float is rejected before any test runs."""
+
+    @pytest.mark.parametrize(
+        "test",
+        [
+            lambda alphas: one_sample_clustered(
+                ClusteredSample.iid([0.1, 0.5, 0.7]), uniform_cdf, TailSide.PLUS, alphas=alphas
+            ),
+            lambda alphas: two_sample_clustered(
+                ClusteredSample.iid([0.1, 0.5, 0.7]), ClusteredSample.iid([0.2, 0.4]), TailSide.MINUS, alphas=alphas
+            ),
+            lambda alphas: lipschitz_two_sample(*TestLipschitzTwoSample().make_panels(n=100), alphas=alphas),
+            lambda alphas: finite_theta_test([(0.1, 0.2)], [RangeSpec(0, 1)], c=10.0, alphas=alphas),
+        ],
+        ids=["one-sample", "two-sample", "lipschitz", "finite-theta"],
+    )
+    def test_rejected(self, test):
+        with pytest.raises(DomainError, match=r"^alpha levels must lie in \(0, 1\), got 0\.0$"):
+            test([0.05, Fraction(1, 10**400)])
+
+    def test_a_fraction_level_keys_the_float_value(self):
+        # the level stays the key it was given; its value is the level's float's
+        f, g = ClusteredSample.iid([0.1, 0.5, 0.7]), ClusteredSample.iid([0.2, 0.4, 0.9])
+        level = Fraction(1, 20)
+        for test in (
+            lambda alphas: one_sample_clustered(f, uniform_cdf, TailSide.PLUS, alphas=alphas),
+            lambda alphas: two_sample_clustered(f, g, TailSide.PLUS, alphas=alphas),
+        ):
+            assert test([level]).critical_at[level] == test([0.05]).critical_at[0.05]

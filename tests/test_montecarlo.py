@@ -713,3 +713,34 @@ class TestPastNumpysDimensionLimit:
     def test_grid_sup_width_past_the_limit(self):
         with pytest.raises(DomainError, match=f"^a trial row of width {2**63} does not fit in memory$"):
             binomial_grid_sup(16, 2**63, 0)
+
+
+class TestRefutationResults:
+    """The refutation experiment allocates its per-trial events before it draws, as the others do."""
+
+    def test_domain_error(self, monkeypatch):
+        trials = 10**13
+        _fail_long_results(monkeypatch, trials)
+        with pytest.raises(DomainError, match=f"^a result array of {trials} trials does not fit in memory$"):
+            conjecture_refutation_experiment(16, [4], 0.25, trials, 0)
+
+    def test_cli_exits_2_past_the_dimension_limit(self, capsys):
+        argv = ["simulate", "grid", "--n", "16", "--m", "4", "--eps", "0.25", "--trials", str(10**20)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: a result array of {10**20} trials does not fit in memory\n"
+
+
+class TestRowFrequency:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200_000).flatmap(lambda size: st.tuples(st.just(size), st.integers(0, size))))
+    @example((3, 1))
+    @example((49_999, 12_345))
+    def test_mean_is_the_count_over_the_size(self, size_and_count):
+        size, count = size_and_count
+        hits = np.zeros(size, dtype=bool)
+        hits[np.random.default_rng(count).permutation(size)[:count]] = True
+        row = montecarlo._row("x", 0.5, hits, 0.5)
+        assert row.empirical.hex() == (int(hits.sum()) / hits.size).hex()
+        assert row.stderr == math.sqrt(row.empirical * (1.0 - row.empirical) / size)
